@@ -1,0 +1,25 @@
+"""Byte-for-byte pins of the results CSV and of a summary file.
+
+The golden files were written by the code that defined these outputs; a
+refactor that changes a single byte of either fails here.
+"""
+
+from pathlib import Path
+
+from fedcard.estimators import ENGINE_NAMES
+from fedcard.evaluation import evaluate_queries, rows_to_csv
+from fedcard.fixtures import bench_queries, bench_stores
+from fedcard.summaries import save_summary
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_bench_results_csv_matches_golden():
+    rows = evaluate_queries(bench_queries(), ENGINE_NAMES, bench_stores())
+    expected = (GOLDEN / "bench_results.csv").read_text(encoding="utf-8")
+    assert rows_to_csv(rows) == expected
+
+
+def test_costfed_summary_file_matches_golden(tmp_path, toy1_summaries):
+    (path,) = save_summary(toy1_summaries.costfed, "costfed", tmp_path)
+    assert path.read_bytes() == (GOLDEN / "A.costfed.json").read_bytes()
