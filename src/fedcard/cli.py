@@ -107,7 +107,14 @@ def evaluate(stores_dir, queries_dir, engines, out_path, oracle_cap, seed) -> No
         path.stem: path.read_text(encoding="utf-8")
         for path in sorted(Path(queries_dir).glob("*.rq"))
     }
-    cap = oracle_cap if oracle_cap is not None else default_cap()
+    if oracle_cap is not None and oracle_cap < 1:
+        click.echo(f"error: --oracle-cap must be a positive integer, got {oracle_cap}", err=True)
+        sys.exit(2)
+    try:
+        cap = oracle_cap if oracle_cap is not None else default_cap()
+    except ValueError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
     rows = evaluate_queries(queries, engine_names, stores, cap=cap)
     write_results_csv(rows, out_path)
     ok = sum(1 for r in rows if r.status == "ok")

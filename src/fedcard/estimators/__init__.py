@@ -12,8 +12,6 @@ from .base import (
     Engine,
     EstimationError,
     PlanEstimates,
-    SourceSet,
-    estimate_plan,
     select_sources,
 )
 from .costfed import CostFedEstimator
@@ -54,9 +52,7 @@ __all__ = [
     "OdysseyEstimator",
     "PlanEstimates",
     "SemaGrowEstimator",
-    "SourceSet",
     "SplendidEstimator",
-    "estimate_plan",
     "make_estimator",
     "select_sources",
 ]

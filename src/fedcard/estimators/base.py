@@ -1,4 +1,4 @@
-"""Shared estimator plumbing: engine registry, source selection, plan walk."""
+"""Shared estimator plumbing: engine registry, source selection, VoID lookups, plan walk."""
 
 from __future__ import annotations
 
@@ -7,12 +7,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from ..expr import Expression, Join, Leaf, join_nodes
-from ..query import JoinEdge, TriplePattern
+from ..expr import Expression, Join, Leaf
+from ..query import JoinEdge, TriplePattern, Var
 from ..store import TripleStore, match
-from ..summaries import SummarySet
-
-SourceSet = frozenset
+from ..summaries import SourceVoid, SummarySet
 
 
 class Engine(enum.Enum):
@@ -33,6 +31,41 @@ class EstimationError(RuntimeError):
 def select_sources(tp: TriplePattern, stores: Sequence[TripleStore]) -> frozenset[str]:
     """Exact source selection: a source is relevant iff it holds a match."""
     return frozenset(s.source_name for s in stores if match(s, tp))
+
+
+def void_leaf_card(tp: TriplePattern, src: SourceVoid) -> float:
+    """Triple-pattern estimate within one source from its VoID counts.
+
+    Reciprocal-of-distinct-count selectivities per bound slot; SPLENDID's
+    case table, also CostFed's leaf formula.
+    """
+    bound_s = not isinstance(tp.subject, Var)
+    bound_o = not isinstance(tp.object, Var)
+
+    if not isinstance(tp.predicate, Var):
+        stats = src.predicates.get(tp.predicate.lexical)
+        if stats is None:
+            return 0.0
+        if bound_s and bound_o:
+            # Fully bound patterns reuse the (s,?,o) estimate; the case
+            # table has no own entry for them.
+            denom = src.distinct_subjects * src.distinct_objects
+            return src.triples / denom if denom else 0.0
+        if bound_s:
+            return stats.triples / stats.distinct_subjects
+        if bound_o:
+            return stats.triples / stats.distinct_objects
+        return float(stats.triples)
+
+    if not src.triples:
+        return 0.0
+    if bound_s and bound_o:
+        return src.triples / (src.distinct_subjects * src.distinct_objects)
+    if bound_s:
+        return src.triples / src.distinct_subjects
+    if bound_o:
+        return src.triples / src.distinct_objects
+    return float(src.triples)
 
 
 def _checked(value: float) -> float:
@@ -79,6 +112,32 @@ class CardinalityEstimator:
             cached = self._source_cache[tp] = select_sources(tp, self.stores)
         return cached
 
+    def distinct_values(
+        self, sources: frozenset[str], predicate: Optional[str], position: str
+    ) -> int:
+        """Distinct values at a join position (s, p or o), summed over sources.
+
+        With a predicate, the counts of its triples in each source that has
+        it; without one, the source-level counts. Position p counts each
+        source's distinct predicates.
+        """
+        void = self.summaries.void
+        count = 0
+        for name in sources:
+            src = void.source(name)
+            if position == "p":
+                count += src.distinct_predicates
+                continue
+            stats = src if predicate is None else src.predicates.get(predicate)
+            if stats is not None:
+                count += stats.distinct_subjects if position == "s" else stats.distinct_objects
+        return count
+
+    def position_selectivity(self, tp: TriplePattern, position: str) -> float:
+        """1 / distinct values at one position of a pattern; 1 when there are none."""
+        count = self.distinct_values(self.sources_for(tp), tp.bound_predicate(), position)
+        return 1.0 / count if count else 1.0
+
     # -- per-engine hooks ------------------------------------------------
 
     def tp_card(self, tp: TriplePattern, sources: Optional[frozenset[str]] = None) -> float:
@@ -106,11 +165,8 @@ class CardinalityEstimator:
 
     # -- generic bottom-up plan walk --------------------------------------
 
-    def prepare_plan(self, plan: Expression) -> None:
-        """Hook for per-plan precomputation (e.g. leaf join attributes)."""
-
     def evaluate_plan(self, plan: Expression) -> PlanEstimates:
-        self.prepare_plan(plan)
+        """Bottom-up per-node estimates; join order is post-order of join nodes."""
         est = PlanEstimates()
 
         def rec(node: Expression) -> float:
@@ -137,11 +193,3 @@ class CardinalityEstimator:
             expr.pattern
         )
 
-
-def estimate_plan(estimator: CardinalityEstimator, plan: Expression) -> PlanEstimates:
-    """Bottom-up per-node estimates; join order is post-order of join nodes."""
-    return estimator.evaluate_plan(plan)
-
-
-def count_join_nodes(plan: Expression) -> int:
-    return len(join_nodes(plan))

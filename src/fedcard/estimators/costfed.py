@@ -1,9 +1,10 @@
 """CostFed cardinality model.
 
-Triple patterns are estimated by an eight-way case split on which slots
-are bound, summing per-source terms over the relevant sources. Joins are
-estimated as ``M(E1) * M(E2) * min(C(E1), C(E2))`` where the multi-valued
-predicate factor M applies to leaf operands only and defaults to 1.
+A triple pattern is estimated per relevant source from its VoID counts,
+with the same per-source formula as SPLENDID, and the terms are summed; a
+fully bound pattern with a relevant source counts 1. Joins are estimated
+as ``M(E1) * M(E2) * min(C(E1), C(E2))`` where the multi-valued predicate
+factor M applies to leaf operands only and defaults to 1.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Optional, Sequence
 
 from ..expr import Expression, Leaf
 from ..query import JoinEdge, TriplePattern, Var
-from .base import CardinalityEstimator, Engine
+from .base import CardinalityEstimator, Engine, void_leaf_card
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -26,41 +27,10 @@ class CostFedEstimator(CardinalityEstimator):
             sources = self.sources_for(tp)
         if not sources:
             return 0.0
-        summary = self.summaries.costfed
-        bound_s = not isinstance(tp.subject, Var)
-        bound_p = not isinstance(tp.predicate, Var)
-        bound_o = not isinstance(tp.object, Var)
-
-        if bound_s and bound_p and bound_o:
+        if not tp.variables():
             return 1.0
-
-        total = 0.0
-        for name in sources:
-            src = summary.source(name)
-            if bound_p:
-                stats = src.predicates.get(tp.predicate.lexical)
-                if stats is None:
-                    continue
-                if not bound_s and not bound_o:
-                    total += stats.triples
-                elif bound_s and not bound_o:
-                    total += stats.triples / stats.distinct_subjects
-                else:  # bound object, unbound subject
-                    total += stats.triples / stats.distinct_objects
-            else:
-                if not bound_s and not bound_o:
-                    total += src.total_triples
-                elif bound_s and not bound_o:
-                    if src.total_distinct_subjects:
-                        total += src.total_triples / src.total_distinct_subjects
-                elif not bound_s and bound_o:
-                    if src.total_distinct_objects:
-                        total += src.total_triples / src.total_distinct_objects
-                else:
-                    denom = src.total_distinct_subjects * src.total_distinct_objects
-                    if denom:
-                        total += src.total_triples / denom
-        return total
+        void = self.summaries.void
+        return sum(void_leaf_card(tp, void.source(name)) for name in sources)
 
     def multivalued_factor(
         self, expr: Expression, card: float, edges: tuple[JoinEdge, ...]
@@ -69,25 +39,21 @@ class CostFedEstimator(CardinalityEstimator):
         if not isinstance(expr, Leaf):
             return 1.0
         tp = expr.pattern
-        bound_s = not isinstance(tp.subject, Var)
-        bound_p = not isinstance(tp.predicate, Var)
-        bound_o = not isinstance(tp.object, Var)
-        if not bound_p:
+        predicate = tp.bound_predicate()
+        if predicate is None:
             return 1.0
+        bound_s = not isinstance(tp.subject, Var)
+        bound_o = not isinstance(tp.object, Var)
         if not bound_s and bound_o:
             return SQRT1_2
+        if bound_s or bound_o:
+            return 1.0
 
         positions = _join_positions(tp.ordinal, edges)
-        stats_by_source = [
-            self.summaries.costfed.source(name).predicates.get(tp.predicate.lexical)
-            for name in self.sources_for(tp)
-        ]
-        if not bound_s and not bound_o and "s" in positions:
-            dist = sum(s.distinct_subjects for s in stats_by_source if s)
-            return card / dist if dist else 1.0
-        if not bound_s and not bound_o and "o" in positions:
-            dist = sum(s.distinct_objects for s in stats_by_source if s)
-            return card / dist if dist else 1.0
+        for position in ("s", "o"):
+            if position in positions:
+                dist = self.distinct_values(self.sources_for(tp), predicate, position)
+                return card / dist if dist else 1.0
         return 1.0
 
     def join_card(

@@ -13,93 +13,62 @@ from typing import Optional, Sequence
 
 from ..expr import Expression, patterns as expr_patterns
 from ..query import JoinEdge, JoinKind, TriplePattern, Var
-from ..summaries import SourceVoid, VoidSummary
+from ..summaries import SourceVoid
 from .base import CardinalityEstimator, Engine
 
 
-def _sel_ratio(srcs: Sequence[SourceVoid], predicate: Optional[str], position: str) -> tuple[float, float]:
-    """(numerator, denominator) of the bound-slot selectivity for one position."""
-    if predicate is None:
-        if position == "s":
-            num = sum(src.triples / src.distinct_subjects for src in srcs if src.distinct_subjects)
-            den = sum(src.distinct_subjects for src in srcs)
-        else:
-            num = sum(src.triples / src.distinct_objects for src in srcs if src.distinct_objects)
-            den = sum(src.distinct_objects for src in srcs)
-        return num, den
+def _triples_per_value(
+    srcs: Sequence[SourceVoid], predicate: Optional[str], position: str
+) -> float:
+    """Numerator of a bound-slot selectivity: triples per distinct value at
+    the position, summed over the sources (the predicate's triples if bound)."""
     num = 0.0
-    den = 0.0
     for src in srcs:
-        stats = src.predicates.get(predicate)
+        stats = src if predicate is None else src.predicates.get(predicate)
         if stats is None:
             continue
-        if position == "s":
-            num += stats.triples / stats.distinct_subjects
-            den += stats.distinct_subjects
-        else:
-            num += stats.triples / stats.distinct_objects
-            den += stats.distinct_objects
-    return num, den
-
-
-def tp_card_from_void(tp: TriplePattern, void: VoidSummary, sources: frozenset[str]) -> float:
-    """Shared by LHD and SemaGrow (which adopts LHD's leaf formulas)."""
-    if not sources:
-        return 0.0
-    srcs = [void.source(name) for name in sources]
-    total = sum(src.triples for src in srcs)
-    if not total:
-        return 0.0
-    predicate = tp.bound_predicate()
-
-    # Accumulate the product of selectivity ratios as numerator/denominator
-    # so integer-only cases divide exactly.
-    num = float(total)
-    den = 1.0
-
-    if not isinstance(tp.subject, Var):
-        n, d = _sel_ratio(srcs, predicate, "s")
-        if d == 0:
-            return 0.0
-        num *= n
-        den *= d
-    if predicate is not None:
-        n = sum(src.predicates[predicate].triples for src in srcs if predicate in src.predicates)
-        num *= n
-        den *= total
-    if not isinstance(tp.object, Var):
-        n, d = _sel_ratio(srcs, predicate, "o")
-        if d == 0:
-            return 0.0
-        num *= n
-        den *= d
-    return num / den
+        distinct = stats.distinct_subjects if position == "s" else stats.distinct_objects
+        if distinct:
+            num += stats.triples / distinct
+    return num
 
 
 class LhdEstimator(CardinalityEstimator):
     engine = Engine.LHD
 
     def tp_card(self, tp: TriplePattern, sources: Optional[frozenset[str]] = None) -> float:
+        """Also SemaGrow's leaf estimate, which adopts LHD's formulas."""
         if sources is None:
             sources = self.sources_for(tp)
-        return tp_card_from_void(tp, self.summaries.void, sources)
-
-    def _side_counts(self, tp: TriplePattern, position: str) -> tuple[float, float]:
-        """(predicate-level distinct count, source-level distinct count) for one side."""
         void = self.summaries.void
+        srcs = [void.source(name) for name in sources]
+        total = sum(src.triples for src in srcs)
+        if not total:
+            return 0.0
         predicate = tp.bound_predicate()
-        pred_count = 0
-        total_count = 0
-        for name in self.sources_for(tp):
-            src = void.source(name)
-            total_count += src.distinct_subjects if position == "s" else src.distinct_objects
-            if predicate is None:
-                pred_count += src.distinct_subjects if position == "s" else src.distinct_objects
-            else:
-                stats = src.predicates.get(predicate)
-                if stats is not None:
-                    pred_count += stats.distinct_subjects if position == "s" else stats.distinct_objects
-        return pred_count, total_count
+
+        # Accumulate the product of selectivity ratios as numerator/denominator
+        # so integer-only cases divide exactly.
+        num = float(total)
+        den = 1.0
+
+        if not isinstance(tp.subject, Var):
+            d = self.distinct_values(sources, predicate, "s")
+            if d == 0:
+                return 0.0
+            num *= _triples_per_value(srcs, predicate, "s")
+            den *= d
+        if predicate is not None:
+            n = sum(src.predicates[predicate].triples for src in srcs if predicate in src.predicates)
+            num *= n
+            den *= total
+        if not isinstance(tp.object, Var):
+            d = self.distinct_values(sources, predicate, "o")
+            if d == 0:
+                return 0.0
+            num *= _triples_per_value(srcs, predicate, "o")
+            den *= d
+        return num / den
 
     def edge_selectivity(self, edge: JoinEdge, left_tp: TriplePattern, right_tp: TriplePattern) -> float:
         """Selectivity of one join edge per the S/O case table.
@@ -110,10 +79,13 @@ class LhdEstimator(CardinalityEstimator):
         """
         if edge.kind is JoinKind.PREDICATE_INVOLVED:
             return 1.0
-        lnum, lden = self._side_counts(left_tp, edge.left_pos)
-        rnum, rden = self._side_counts(right_tp, edge.right_pos)
+        lsources, rsources = self.sources_for(left_tp), self.sources_for(right_tp)
+        lden = self.distinct_values(lsources, None, edge.left_pos)
+        rden = self.distinct_values(rsources, None, edge.right_pos)
         if not lden or not rden:
             return 1.0
+        lnum = self.distinct_values(lsources, left_tp.bound_predicate(), edge.left_pos)
+        rnum = self.distinct_values(rsources, right_tp.bound_predicate(), edge.right_pos)
         return (lnum * rnum) / (lden * rden)
 
     def multi_join_card(

@@ -13,37 +13,17 @@ selectivity (the min-chain is monotone non-increasing).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from ..expr import Expression, Leaf, internal_edges
 from ..query import JoinEdge, TriplePattern
 from .base import CardinalityEstimator, Engine
-from .lhd import tp_card_from_void
+from .lhd import LhdEstimator
 
 
 class SemaGrowEstimator(CardinalityEstimator):
     engine = Engine.SEMAGROW
-
-    def tp_card(self, tp: TriplePattern, sources: Optional[frozenset[str]] = None) -> float:
-        if sources is None:
-            sources = self.sources_for(tp)
-        return tp_card_from_void(tp, self.summaries.void, sources)
-
-    def _distinct_values(self, tp: TriplePattern, position: str) -> int:
-        void = self.summaries.void
-        predicate = tp.bound_predicate()
-        count = 0
-        for name in self.sources_for(tp):
-            src = void.source(name)
-            if position == "p":
-                count += src.distinct_predicates
-            elif predicate is not None:
-                stats = src.predicates.get(predicate)
-                if stats is not None:
-                    count += stats.distinct_subjects if position == "s" else stats.distinct_objects
-            else:
-                count += src.distinct_subjects if position == "s" else src.distinct_objects
-        return count
+    tp_card = LhdEstimator.tp_card
 
     def leaf_join_selectivity(self, tp: TriplePattern, edges: Sequence[JoinEdge]) -> float:
         """min over the leaf's join attributes of 1/d_i; 1 when it has none.
@@ -58,8 +38,7 @@ class SemaGrowEstimator(CardinalityEstimator):
                 position = edge.right_pos
             else:
                 continue
-            d = self._distinct_values(tp, position)
-            candidates.append(1.0 / d if d else 1.0)
+            candidates.append(self.position_selectivity(tp, position))
         return min(candidates)
 
     def expression_join_selectivity(self, expr: Expression, edges: Sequence[JoinEdge]) -> float:

@@ -13,39 +13,7 @@ from typing import Optional, Sequence
 
 from ..expr import Expression, patterns as expr_patterns
 from ..query import JoinEdge, TriplePattern, Var
-from ..summaries import SourceVoid
-from .base import CardinalityEstimator, Engine
-
-
-def _tp_card_in_source(tp: TriplePattern, src: SourceVoid) -> float:
-    bound_s = not isinstance(tp.subject, Var)
-    bound_p = not isinstance(tp.predicate, Var)
-    bound_o = not isinstance(tp.object, Var)
-
-    if bound_p:
-        stats = src.predicates.get(tp.predicate.lexical)
-        if stats is None:
-            return 0.0
-        if bound_s and bound_o:
-            # Fully bound patterns reuse the (s,?,o) estimate; the case
-            # table has no own entry for them.
-            denom = src.distinct_subjects * src.distinct_objects
-            return src.triples / denom if denom else 0.0
-        if bound_s:
-            return stats.triples / stats.distinct_subjects
-        if bound_o:
-            return stats.triples / stats.distinct_objects
-        return float(stats.triples)
-
-    if not src.triples:
-        return 0.0
-    if bound_s and bound_o:
-        return src.triples / (src.distinct_subjects * src.distinct_objects)
-    if bound_s:
-        return src.triples / src.distinct_subjects
-    if bound_o:
-        return src.triples / src.distinct_objects
-    return float(src.triples)
+from .base import CardinalityEstimator, Engine, void_leaf_card
 
 
 class SplendidEstimator(CardinalityEstimator):
@@ -55,7 +23,7 @@ class SplendidEstimator(CardinalityEstimator):
         if sources is None:
             sources = self.sources_for(tp)
         void = self.summaries.void
-        return sum(_tp_card_in_source(tp, void.source(name)) for name in sources)
+        return sum(void_leaf_card(tp, void.source(name)) for name in sources)
 
     def star_card(
         self,
@@ -78,33 +46,15 @@ class SplendidEstimator(CardinalityEstimator):
         for name in sources:
             src = void.source(name)
             bound_cards = [
-                _tp_card_in_source(tp, src) for tp in star if not isinstance(tp.object, Var)
+                void_leaf_card(tp, src) for tp in star if not isinstance(tp.object, Var)
             ]
             factor = min(bound_cards) if bound_cards else 1.0
             sel_s = 1.0 / src.distinct_subjects if src.distinct_subjects else 0.0
             for tp in star:
                 if isinstance(tp.object, Var):
-                    factor *= sel_s * _tp_card_in_source(tp, src)
+                    factor *= sel_s * void_leaf_card(tp, src)
             total += factor
         return total
-
-    def _positional_selectivity(self, tp: TriplePattern, position: str) -> float:
-        """1 / distinct-count of the join position, summed over relevant sources."""
-        void = self.summaries.void
-        predicate = tp.bound_predicate()
-        count = 0
-        for name in self.sources_for(tp):
-            src = void.source(name)
-            if position == "p":
-                count += src.distinct_predicates
-                continue
-            if predicate is not None:
-                stats = src.predicates.get(predicate)
-                if stats is not None:
-                    count += stats.distinct_subjects if position == "s" else stats.distinct_objects
-            else:
-                count += src.distinct_subjects if position == "s" else src.distinct_objects
-        return 1.0 / count if count else 1.0
 
     def join_selectivity(
         self,
@@ -121,11 +71,11 @@ class SplendidEstimator(CardinalityEstimator):
         for edge in edges:
             lsel, rsel = per_variable.setdefault(edge.variable, ([], []))
             if edge.left in left_tps:
-                lsel.append(self._positional_selectivity(left_tps[edge.left], edge.left_pos))
-                rsel.append(self._positional_selectivity(right_tps[edge.right], edge.right_pos))
+                lsel.append(self.position_selectivity(left_tps[edge.left], edge.left_pos))
+                rsel.append(self.position_selectivity(right_tps[edge.right], edge.right_pos))
             else:
-                lsel.append(self._positional_selectivity(left_tps[edge.right], edge.right_pos))
-                rsel.append(self._positional_selectivity(right_tps[edge.left], edge.left_pos))
+                lsel.append(self.position_selectivity(left_tps[edge.right], edge.right_pos))
+                rsel.append(self.position_selectivity(right_tps[edge.left], edge.left_pos))
         sels = []
         for lsel, rsel in per_variable.values():
             left_mean = sum(lsel) / len(lsel)

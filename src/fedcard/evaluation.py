@@ -93,7 +93,7 @@ def evaluate_query(
         row.plan_class = PlanClass.FAILED
         row.metrics = None
         row.error = str(exc)
-    except (EstimationError, ValueError) as exc:
+    except EstimationError as exc:
         row.status = STATUS_FAILED
         row.plan_class = PlanClass.FAILED
         row.metrics = None

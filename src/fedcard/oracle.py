@@ -35,10 +35,16 @@ class OracleBlowupError(RuntimeError):
 
 
 def default_cap() -> int:
+    """The cap from ``FEDCARD_ORACLE_CAP`` if set, else the default.
+
+    Raises ValueError unless the variable holds a positive integer.
+    """
     env = os.environ.get(ORACLE_CAP_ENV)
-    if env:
-        return int(env)
-    return DEFAULT_ORACLE_CAP
+    if not env:
+        return DEFAULT_ORACLE_CAP
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"{ORACLE_CAP_ENV} must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def _leaf_bindings(tp: TriplePattern, stores: Sequence[TripleStore]) -> list[Binding]:

@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy import stats as sps
+
+# scipy is imported inside the functions that use it: the import takes about
+# a second, and of the CLI commands only ``correlate`` needs it.
 
 HUBER_K = 1.345
 MAD_TO_SIGMA = 0.6745
@@ -71,6 +73,8 @@ def _as_float_array(values: Sequence[float], name: str) -> np.ndarray:
 
 
 def _t_sf_two_sided(t: float, df: int) -> float:
+    from scipy import stats as sps
+
     return float(2.0 * sps.t.sf(abs(t), df))
 
 
@@ -112,6 +116,8 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     n = len(ax)
     if n < 3:
         raise StatsError("spearman requires at least 3 points")
+    from scipy import stats as sps
+
     rank_x = sps.rankdata(ax)
     rank_y = sps.rankdata(ay)
     if np.ptp(rank_x) == 0 or np.ptp(rank_y) == 0:
@@ -139,6 +145,8 @@ def ols(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
         raise StatsError("ols requires at least 3 points")
     if np.ptp(ax) == 0:
         raise StatsError("x is constant; slope undefined")
+    from scipy import stats as sps
+
     fit = sps.linregress(ax, ay)
     return RegressionResult(
         intercept=float(fit.intercept),

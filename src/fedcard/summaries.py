@@ -1,17 +1,19 @@
 """Dataset statistics consumed by the cardinality estimators.
 
-Three summary kinds are built from the same stores:
+Two kinds of statistics are computed from the stores:
 
 * ``VoidSummary`` - per-source and per-predicate triple / distinct-subject /
-  distinct-object counts (the VoID-style statistics).
-* ``CostFedSummary`` - the same counts plus average subject/object
-  selectivities, defined as 1 / distinct-count so that ``T * avgSS`` is the
-  mean number of triples per subject.
+  distinct-object counts (the VoID-style statistics). Every estimator's
+  leaf and join formulas read these, Odyssey's only in its fallback.
 * ``CharSetSummary`` - characteristic sets (per-entity predicate sets with
   entity counts and per-predicate occurrence counts) and characteristic
   pairs (predicate-labelled links between two characteristic sets).
 
-Each summary serializes to one versioned JSON file per source.
+``CostFedSummary`` is not a third pass: it holds the VoID counts and writes
+them under CostFed's field names, adding the average subject/object
+selectivities 1 / distinct-count (so ``T * avgSS`` is the mean number of
+triples per subject). Each summary serializes to one versioned JSON file
+per source.
 """
 
 from __future__ import annotations
@@ -41,6 +43,14 @@ class PredicateStats:
     distinct_subjects: int
     distinct_objects: int
 
+    @property
+    def avg_subject_selectivity(self) -> float:
+        return 1.0 / self.distinct_subjects
+
+    @property
+    def avg_object_selectivity(self) -> float:
+        return 1.0 / self.distinct_objects
+
 
 @dataclass(slots=True)
 class SourceVoid:
@@ -61,9 +71,6 @@ class VoidSummary:
 
     def source(self, name: str) -> SourceVoid:
         return self.sources[name]
-
-    def predicate(self, source: str, predicate: str) -> PredicateStats | None:
-        return self.sources[source].predicates.get(predicate)
 
     def to_json_dict(self, source: str) -> dict:
         s = self.sources[source]
@@ -136,33 +143,12 @@ def build_void(stores: Sequence[TripleStore]) -> VoidSummary:
 # ---------------------------------------------------------------- CostFed
 
 
-@dataclass(frozen=True, slots=True)
-class CostFedPredicateStats:
-    triples: int
-    distinct_subjects: int
-    distinct_objects: int
-    avg_subject_selectivity: float
-    avg_object_selectivity: float
+class CostFedSummary(VoidSummary):
+    """The VoID counts as CostFed's summary file spells them.
 
-
-@dataclass(slots=True)
-class SourceCostFed:
-    source: str
-    total_triples: int
-    total_distinct_subjects: int
-    total_distinct_objects: int
-    predicates: dict[str, CostFedPredicateStats] = field(default_factory=dict)
-
-
-class CostFedSummary:
-    def __init__(self, sources: Iterable[SourceCostFed]):
-        self.sources: dict[str, SourceCostFed] = {s.source: s for s in sources}
-
-    def source(self, name: str) -> SourceCostFed:
-        return self.sources[name]
-
-    def predicate(self, source: str, predicate: str) -> CostFedPredicateStats | None:
-        return self.sources[source].predicates.get(predicate)
+    Source totals carry a ``total_`` prefix and every predicate adds its
+    average subject/object selectivities (1 / distinct count).
+    """
 
     def to_json_dict(self, source: str) -> dict:
         s = self.sources[source]
@@ -170,9 +156,9 @@ class CostFedSummary:
             "format_version": SUMMARY_FORMAT_VERSION,
             "source": s.source,
             "stats": {
-                "total_triples": s.total_triples,
-                "total_distinct_subjects": s.total_distinct_subjects,
-                "total_distinct_objects": s.total_distinct_objects,
+                "total_triples": s.triples,
+                "total_distinct_subjects": s.distinct_subjects,
+                "total_distinct_objects": s.distinct_objects,
                 "predicates": {
                     p: {
                         "triples": st.triples,
@@ -188,57 +174,15 @@ class CostFedSummary:
 
     @classmethod
     def from_json_dicts(cls, docs: Iterable[dict]) -> "CostFedSummary":
-        sources = []
-        for doc in docs:
-            _check_version(doc)
-            stats = doc["stats"]
-            sources.append(
-                SourceCostFed(
-                    source=doc["source"],
-                    total_triples=stats["total_triples"],
-                    total_distinct_subjects=stats["total_distinct_subjects"],
-                    total_distinct_objects=stats["total_distinct_objects"],
-                    predicates={
-                        p: CostFedPredicateStats(
-                            st["triples"],
-                            st["distinct_subjects"],
-                            st["distinct_objects"],
-                            st["avg_subject_selectivity"],
-                            st["avg_object_selectivity"],
-                        )
-                        for p, st in stats["predicates"].items()
-                    },
-                )
-            )
-        return cls(sources)
+        return super().from_json_dicts(
+            {**doc, "stats": {k.removeprefix("total_"): v for k, v in doc["stats"].items()}}
+            for doc in docs
+        )
 
 
 def build_costfed(stores: Sequence[TripleStore]) -> CostFedSummary:
-    """CostFed statistics; selectivities are reciprocals of distinct counts."""
-    _check_unique_sources(stores)
-    sources = []
-    for store in stores:
-        predicates = {}
-        for p, count in store.predicate_triples.items():
-            dsubj = store.predicate_distinct_subjects[p]
-            dobj = store.predicate_distinct_objects[p]
-            predicates[p] = CostFedPredicateStats(
-                triples=count,
-                distinct_subjects=dsubj,
-                distinct_objects=dobj,
-                avg_subject_selectivity=1.0 / dsubj,
-                avg_object_selectivity=1.0 / dobj,
-            )
-        sources.append(
-            SourceCostFed(
-                source=store.source_name,
-                total_triples=store.total_triples,
-                total_distinct_subjects=store.distinct_subjects,
-                total_distinct_objects=store.distinct_objects,
-                predicates=predicates,
-            )
-        )
-    return CostFedSummary(sources)
+    """CostFed statistics: the VoID counts with their selectivities."""
+    return CostFedSummary(build_void(stores).sources.values())
 
 
 # ---------------------------------------------------------------- characteristic sets
@@ -362,7 +306,7 @@ def build_charsets(stores: Sequence[TripleStore]) -> CharSetSummary:
 
 @dataclass(slots=True)
 class SummarySet:
-    """All three summary kinds over the same stores."""
+    """The VoID, CostFed and characteristic-set summaries of the same stores."""
 
     void: VoidSummary
     costfed: CostFedSummary
@@ -370,7 +314,8 @@ class SummarySet:
 
 
 def build_all(stores: Sequence[TripleStore]) -> SummarySet:
-    return SummarySet(build_void(stores), build_costfed(stores), build_charsets(stores))
+    void = build_void(stores)
+    return SummarySet(void, CostFedSummary(void.sources.values()), build_charsets(stores))
 
 
 def _check_version(doc: dict) -> None:

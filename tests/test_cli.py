@@ -1,8 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import fedcard
 from fedcard.cli import main
 from fedcard.evaluation import RESULTS_HEADER
 
@@ -162,6 +167,47 @@ def test_oracle_cap_env_override(runner, workspace, tmp_path, monkeypatch):
     assert result.exit_code == 0
     rows = list(csv.DictReader(out.open()))
     assert any(r["status"] == "oracle_blowup" for r in rows)
+
+
+def _evaluate_toy(runner, workspace, tmp_path, *extra):
+    return runner.invoke(
+        main,
+        [
+            "evaluate",
+            "--stores", str(workspace / "stores"),
+            "--queries", str(workspace / "fx/toy/queries"),
+            "--out", str(tmp_path / "out.csv"),
+            *extra,
+        ],
+    )
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_evaluate_rejects_non_positive_oracle_cap(runner, workspace, tmp_path, cap):
+    result = _evaluate_toy(runner, workspace, tmp_path, "--oracle-cap", cap)
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [f"error: --oracle-cap must be a positive integer, got {cap}"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "1e6"])
+def test_evaluate_rejects_bad_oracle_cap_env(runner, workspace, tmp_path, monkeypatch, value):
+    monkeypatch.setenv("FEDCARD_ORACLE_CAP", value)
+    result = _evaluate_toy(runner, workspace, tmp_path)
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [
+        f"error: FEDCARD_ORACLE_CAP must be a positive integer, got {value!r}"
+    ]
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, fedcard.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(fedcard.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_evaluate_deterministic(runner, workspace, tmp_path):

@@ -8,7 +8,6 @@ from conftest import TOY, tp
 from fedcard.estimators import (
     CardinalityEstimator,
     Engine,
-    estimate_plan,
     make_estimator,
     select_sources,
 )
@@ -264,7 +263,7 @@ def test_odyssey_link_predicate_must_be_in_star(engines):
 def test_odyssey_plan_on_star_uses_charsets(toy1, toy1_summaries):
     od = make_estimator("odyssey", toy1_summaries, [toy1])
     plan = join(Leaf(tp("?s", "p", "?a", 0)), Leaf(tp("?s", "q", "?b", 1)))
-    est = estimate_plan(od, plan)
+    est = od.evaluate_plan(plan)
     assert est.tp_est == {0: 3.0, 1: 2.0}
     assert est.join_est == [1.0]
     assert not est.fallback_used
@@ -273,7 +272,7 @@ def test_odyssey_plan_on_star_uses_charsets(toy1, toy1_summaries):
 def test_odyssey_path_uses_charpairs(toy2, toy2_summaries):
     od = make_estimator("odyssey", toy2_summaries, [toy2])
     plan = join(Leaf(tp("?x", "q", "?y", 0)), Leaf(tp("?y", "p", "?z", 1)))
-    est = estimate_plan(od, plan)
+    est = od.evaluate_plan(plan)
     assert est.join_est == [pytest.approx(3.0)]
     assert not est.fallback_used
 
@@ -282,7 +281,7 @@ def test_odyssey_fallback_flagged(toy1, toy1_summaries):
     od = make_estimator("odyssey", toy1_summaries, [toy1])
     # object-object join is neither a star nor a linked star
     plan = join(Leaf(tp("?a", "p", "?x", 0)), Leaf(tp("?b", "q", "?x", 1)))
-    est = estimate_plan(od, plan)
+    est = od.evaluate_plan(plan)
     assert est.join_fallback == [True]
     assert est.fallback_used
     sg = make_estimator("semagrow", toy1_summaries, [toy1])
@@ -292,7 +291,7 @@ def test_odyssey_fallback_flagged(toy1, toy1_summaries):
 
 def test_odyssey_ground_subject_leaf_falls_back(toy1, toy1_summaries):
     od = make_estimator("odyssey", toy1_summaries, [toy1])
-    est = estimate_plan(od, Leaf(tp("s1", "p", "?y", 0)))
+    est = od.evaluate_plan(Leaf(tp("s1", "p", "?y", 0)))
     assert est.tp_fallback == {0: True}
     lhd = make_estimator("lhd", toy1_summaries, [toy1])
     assert est.tp_est[0] == lhd.tp_card(tp("s1", "p", "?y", 0))
@@ -325,20 +324,20 @@ def test_estimate_plan_with_injected_stub():
         {0: 90, 1: 250, 2: 300},
         {frozenset({0, 1}): 65, frozenset({0, 1, 2}): 150},
     )
-    est = estimate_plan(stub, plan)
+    est = stub.evaluate_plan(plan)
     vector = [est.tp_est[i] for i in range(3)] + est.join_est
     assert vector == [90.0, 250.0, 300.0, 65.0, 150.0]
 
 
 def test_estimate_plan_single_leaf(engines):
-    est = estimate_plan(engines["costfed"], Leaf(tp("?x", "p", "?y", 0)))
+    est = engines["costfed"].evaluate_plan(Leaf(tp("?x", "p", "?y", 0)))
     assert est.tp_est == {0: 3.0}
     assert est.join_est == []
 
 
 def test_semagrow_two_leaf_plan(engines):
     plan = join(Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1)))
-    est = estimate_plan(engines["semagrow"], plan)
+    est = engines["semagrow"].evaluate_plan(plan)
     assert [est.tp_est[0], est.tp_est[1], est.join_est[0]] == [3.0, 2.0, 3.0]
 
 
@@ -362,6 +361,6 @@ def test_estimates_finite_and_nonnegative_random(toy_ab, toy_ab_summaries):
         for t in tps[1:]:
             plan = join(plan, Leaf(t))
         for estimator in estimators:
-            est = estimate_plan(estimator, plan)
+            est = estimator.evaluate_plan(plan)
             for value in list(est.tp_est.values()) + est.join_est:
                 assert math.isfinite(value) and value >= 0.0
