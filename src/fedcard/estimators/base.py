@@ -100,17 +100,13 @@ class CardinalityEstimator:
     def __init__(self, summaries: SummarySet, stores: Sequence[TripleStore]):
         self.summaries = summaries
         self.stores = tuple(stores)
-        self._source_cache: dict[TriplePattern, frozenset[str]] = {}
 
     @property
     def name(self) -> str:
         return self.engine.value
 
     def sources_for(self, tp: TriplePattern) -> frozenset[str]:
-        cached = self._source_cache.get(tp)
-        if cached is None:
-            cached = self._source_cache[tp] = select_sources(tp, self.stores)
-        return cached
+        return select_sources(tp, self.stores)
 
     def distinct_values(
         self, sources: frozenset[str], predicate: Optional[str], position: str

@@ -23,7 +23,6 @@ class OdysseyEstimator(CardinalityEstimator):
     def __init__(self, summaries, stores):
         super().__init__(summaries, stores)
         self._fallback = SemaGrowEstimator(summaries, stores)
-        self._fallback._source_cache = self._source_cache
 
     # -- characteristic-set formulas --------------------------------------
 

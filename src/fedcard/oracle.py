@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .estimators.base import CardinalityEstimator, PlanEstimates
-from .expr import Expression, Join, Leaf, join_nodes, ordinals, patterns as expr_patterns
+from .expr import Expression, Join, Leaf, join_nodes, ordinals, patterns as expr_patterns, variables
 from .ntriples import Term
 from .query import TriplePattern, Var
 from .store import TripleStore, match
@@ -88,31 +88,7 @@ def _hash_join(left: list[Binding], right: list[Binding], shared: tuple[str, ...
 
 
 def _shared_vars(expr: Join) -> tuple[str, ...]:
-    left_vars = set().union(*(tp.variables() for tp in expr_patterns(expr.left)))
-    right_vars = set().union(*(tp.variables() for tp in expr_patterns(expr.right)))
-    return tuple(sorted(left_vars & right_vars))
-
-
-def evaluate_expression(
-    expr: Expression,
-    stores: Sequence[TripleStore],
-    cap: Optional[int] = None,
-) -> list[Binding]:
-    """Bag of bindings produced by the expression over all stores."""
-    if cap is None:
-        cap = default_cap()
-
-    def rec(node: Expression) -> list[Binding]:
-        if isinstance(node, Leaf):
-            bag = _leaf_bindings(node.pattern, stores)
-            if len(bag) > cap:
-                raise OracleBlowupError(len(bag), cap)
-            return bag
-        left = rec(node.left)
-        right = rec(node.right)
-        return _hash_join(left, right, _shared_vars(node), cap)
-
-    return rec(expr)
+    return tuple(sorted(variables(expr.left) & variables(expr.right)))
 
 
 def true_tp_card(
@@ -161,11 +137,17 @@ class Oracle:
     def cardinality(self, expr: Expression) -> int:
         return len(self.bindings(expr))
 
-    def distinct_cardinality(self, expr: Expression, projection: Sequence[str]) -> int:
-        """Distinct projection of the bag (the DISTINCT-keyword real count)."""
-        bag = self.bindings(expr)
-        keys = {tuple(b.get(v) for v in projection) for b in bag}
-        return len(keys)
+
+def evaluate_expression(
+    expr: Expression,
+    stores: Sequence[TripleStore],
+    cap: Optional[int] = None,
+) -> list[Binding]:
+    """Bag of bindings produced by the expression over all stores.
+
+    Leaves are told apart by pattern ordinal, as in ``Oracle``.
+    """
+    return Oracle(stores, cap).bindings(expr)
 
 
 @dataclass(slots=True)
@@ -192,7 +174,6 @@ def trace_plan(
     estimator: CardinalityEstimator,
     stores: Sequence[TripleStore],
     query_id: str = "",
-    cap: Optional[int] = None,
     oracle: Optional[Oracle] = None,
 ) -> CardinalityTrace:
     """Real and estimated cardinality vectors for every plan node.
@@ -201,7 +182,7 @@ def trace_plan(
     bottom-up join order. Real counts never apply DISTINCT projection.
     """
     if oracle is None:
-        oracle = Oracle(stores, cap)
+        oracle = Oracle(stores)
     estimates: PlanEstimates = estimator.evaluate_plan(plan)
 
     tps = sorted(expr_patterns(plan), key=lambda tp: tp.ordinal)

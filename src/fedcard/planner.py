@@ -14,7 +14,7 @@ import enum
 from typing import Callable, Sequence
 
 from .estimators.base import select_sources
-from .expr import Expression, Leaf, is_left_deep, join, join_nodes, leaves
+from .expr import Expression, Leaf, is_left_deep, join, join_nodes, leaves, variables
 from .oracle import OracleBlowupError
 from .query import BasicGraphPattern, TriplePattern
 from .store import TripleStore
@@ -36,6 +36,12 @@ def _tiebreak(tp: TriplePattern) -> tuple[int, str]:
 
 def _connected(a: TriplePattern, b: TriplePattern) -> bool:
     return bool(a.variables() & b.variables())
+
+
+def _executable(left: Expression, remaining: list[TriplePattern]) -> list[TriplePattern]:
+    """Remaining patterns that join the left side; all of them if none does."""
+    left_vars = variables(left)
+    return [tp for tp in remaining if tp.variables() & left_vars] or remaining
 
 
 def greedy_left_deep_plan(bgp: BasicGraphPattern, card: CardFn) -> Expression:
@@ -62,12 +68,7 @@ def greedy_left_deep_plan(bgp: BasicGraphPattern, card: CardFn) -> Expression:
     remaining.remove(first)
 
     while remaining:
-        plan_vars = set()
-        for leaf in leaves(plan):
-            plan_vars |= leaf.pattern.variables()
-        candidates = [tp for tp in remaining if tp.variables() & plan_vars]
-        if not candidates:
-            candidates = remaining
+        candidates = _executable(plan, remaining)
         best = min(candidates, key=lambda tp: (card(join(plan, Leaf(tp))), _tiebreak(tp)))
         plan = join(plan, Leaf(best))
         remaining.remove(best)
@@ -94,12 +95,7 @@ def classify_plan(plan: Expression, real_card: CardFn) -> PlanClass:
         left: Expression = chain[0]
         remaining = [leaf.pattern for leaf in chain[1:]]
         for step_leaf in chain[1:]:
-            left_vars = set()
-            for leaf in leaves(left):
-                left_vars |= leaf.pattern.variables()
-            candidates = [tp for tp in remaining if tp.variables() & left_vars]
-            if not candidates:
-                candidates = list(remaining)
+            candidates = _executable(left, remaining)
             chosen = step_leaf.pattern
             if chosen not in candidates:
                 return PlanClass.SUB_OPTIMAL

@@ -3,7 +3,8 @@
 A store deduplicates its triples and precomputes the per-predicate
 distinct-subject / distinct-object tables that the statistics summaries
 read off. Matching is exact: the count of ``match`` is the real
-cardinality of a pattern in this source.
+cardinality of a pattern in this source, and each distinct pattern is
+scanned once per store.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ class TripleStore:
         self.predicate_distinct_objects: Mapping[str, int] = {
             p: len(o) for p, o in pred_objects.items()
         }
+        self._match_memo: dict[tuple[Slot, Slot, Slot], tuple[Triple, ...]] = {}
 
     @property
     def total_triples(self) -> int:
@@ -87,8 +89,18 @@ def match(store: TripleStore, pattern: TriplePattern) -> list[Triple]:
     """Return exactly the store triples unifying with the pattern.
 
     A variable repeated within the pattern must bind to the same term in
-    every position it occupies.
+    every position it occupies. The result is memoised on the store by the
+    pattern's slots (not its ordinal, so the same pattern in another query
+    hits the memo); every call returns a fresh list.
     """
+    key = (pattern.subject, pattern.predicate, pattern.object)
+    found = store._match_memo.get(key)
+    if found is None:
+        found = store._match_memo[key] = _scan(store, pattern)
+    return list(found)
+
+
+def _scan(store: TripleStore, pattern: TriplePattern) -> tuple[Triple, ...]:
     candidates: Sequence[Triple]
     if not isinstance(pattern.subject, Var):
         candidates = store._by_subject.get(pattern.subject, ())
@@ -121,7 +133,7 @@ def match(store: TripleStore, pattern: TriplePattern) -> list[Triple]:
                     break
         if consistent:
             out.append(t)
-    return out
+    return tuple(out)
 
 
 def load_ntriples_file(source_name: str, path: str | Path) -> TripleStore:

@@ -133,13 +133,7 @@ def test_oracle_cache_consistency(toy1):
     assert oracle.cardinality(expr) == 1
     assert oracle.cardinality(expr) == 1  # cached path
     assert oracle.cardinality(Leaf(tp("?x", "p", "?y", 0))) == 3
-
-
-def test_oracle_distinct_projection(toy1):
-    expr = Leaf(tp("?x", "q", "?z", 0))
-    oracle = Oracle([toy1])
-    assert oracle.cardinality(expr) == 2
-    assert oracle.distinct_cardinality(expr, ["z"]) == 1  # both rows bind z=o3
+    assert Oracle([toy1]).cardinality(Leaf(tp("?x", "q", "?z", 0))) == 2
 
 
 def test_trace_toy_star(toy1, toy1_summaries):

@@ -56,6 +56,7 @@ def test_match_repeated_variable():
         Triple(toy_iri("a"), toy_iri("p"), toy_iri("b")),
     ]
     store = build_store("R", triples)
+    assert len(match(store, tp("?x", "p", "?y"))) == 2
     assert len(match(store, tp("?x", "p", "?x"))) == 1
 
 
@@ -97,7 +98,11 @@ def test_index_scan_equivalence_random():
             pattern = TriplePattern(
                 fix(pattern.subject, "s"), fix(pattern.predicate, "p"), fix(pattern.object, "o")
             )
-            assert len(match(store, pattern)) == linear_scan_count(store, pattern)
+            expected = linear_scan_count(store, pattern)
+            first = match(store, pattern)
+            assert len(first) == expected
+            first.clear()
+            assert len(match(store, pattern)) == expected
 
 
 def test_build_store_idempotent(toy1):
