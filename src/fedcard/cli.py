@@ -23,7 +23,7 @@ from .evaluation import (
 from .ntriples import NTriplesParseError
 from .oracle import default_cap
 from .stats import METHODS, CorrelationReport, correlate_results
-from .store import load_ntriples_file, load_store_dir, save_store
+from .store import TripleStore, load_ntriples_file, load_store_dir, save_store
 from .summaries import build_all, save_summary
 
 METRIC_FEATURES = ("E_T", "E_J", "E_P", "Q_T", "Q_J", "Q_P")
@@ -56,17 +56,26 @@ def ingest(source: str, file_path: str, out_dir: str) -> None:
     click.echo(f"ingested {store.total_triples} triples from {path} into {target}")
 
 
+def _load_stores(stores_dir: str) -> list[TripleStore]:
+    """Every store under ``stores_dir``; a missing or unreadable store exits 1."""
+    try:
+        stores = load_store_dir(stores_dir)
+    except ValueError as exc:  # includes json.JSONDecodeError
+        click.echo(f"error: cannot load stores from {stores_dir}: {exc}", err=True)
+        sys.exit(1)
+    if not stores:
+        click.echo(f"error: no .store files under {stores_dir}", err=True)
+        sys.exit(1)
+    return stores
+
+
 @main.command()
 @click.option("--stores", "stores_dir", required=True, type=click.Path(exists=True))
 @click.option("--kind", type=click.Choice(["void", "costfed", "charsets", "all"]), default="all")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def summarize(stores_dir: str, kind: str, out_dir: str) -> None:
     """Build statistics summaries from ingested stores."""
-    stores = load_store_dir(stores_dir)
-    if not stores:
-        click.echo(f"error: no .store files under {stores_dir}", err=True)
-        sys.exit(1)
-    summaries = build_all(stores)
+    summaries = build_all(_load_stores(stores_dir))
     kinds = ["void", "costfed", "charsets"] if kind == "all" else [kind]
     for k in kinds:
         summary = getattr(summaries, k)
@@ -99,10 +108,7 @@ def evaluate(stores_dir, queries_dir, engines, out_path, oracle_cap, seed) -> No
     """Evaluate every query under every engine; write the results CSV."""
     del seed  # the pipeline is deterministic; the flag pins the contract
     engine_names = _parse_engines(engines)
-    stores = load_store_dir(stores_dir)
-    if not stores:
-        click.echo(f"error: no .store files under {stores_dir}", err=True)
-        sys.exit(1)
+    stores = _load_stores(stores_dir)
     queries = {
         path.stem: path.read_text(encoding="utf-8")
         for path in sorted(Path(queries_dir).glob("*.rq"))
@@ -181,7 +187,11 @@ def correlate(results_path, runtimes_path, features, method, common_only, out_pa
             )
             sys.exit(2)
     results = read_results_csv(results_path)
-    runtimes = read_runtimes_csv(runtimes_path)
+    try:
+        runtimes = read_runtimes_csv(runtimes_path)
+    except ValueError as exc:
+        click.echo(f"error: {runtimes_path}: {exc}", err=True)
+        sys.exit(1)
 
     engines_in_results = sorted({r["engine"] for r in results})
     engines_with_runtimes = {engine for (_, engine) in runtimes}

@@ -167,5 +167,11 @@ def read_runtimes_csv(path: str | Path) -> dict[tuple[str, str], float]:
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise ValueError(f"runtimes file needs columns {sorted(required)}")
         for record in reader:
-            out[(record["query_id"], record["engine"])] = float(record["runtime_ms"])
+            key = (record["query_id"], record["engine"])
+            try:
+                out[key] = float(record["runtime_ms"])
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"line {reader.line_num}: runtime_ms {record['runtime_ms']!r} is not a number"
+                ) from None
     return out

@@ -1,28 +1,37 @@
-"""Exact cardinalities by brute-force evaluation (hash joins over leaf matches).
+"""Exact cardinalities by counting evaluation over leaf matches.
 
 Bag semantics throughout: duplicates are preserved, matching SELECT without
-DISTINCT. Leaf bindings come from the union of all registered sources, and
-bindings from different sources join freely. A configurable cap on
-intermediate bag sizes turns runaway joins into a hard error instead of a
-silently truncated (and therefore wrong) count.
+DISTINCT. No intermediate binding is materialised. Each node's bag is kept
+as a multiplicity map projected onto the variables that the rest of the
+plan still reads: a distinct projected binding maps to the number of full
+bindings that share it. A join groups both sides by their shared variables
+and multiplies counts, so a cartesian product is one multiplication (the
+aggregate form of Yannakakis-style evaluation). Leaf bindings come from the
+union of all registered sources, and bindings from different sources join
+freely. A configurable cap on every node's bag size (its total count, not
+its map size) turns runaway joins into a hard error instead of a silently
+truncated (and therefore wrong) count.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from operator import attrgetter, itemgetter
+from typing import Callable, Optional, Sequence
 
 from .estimators.base import CardinalityEstimator, PlanEstimates
-from .expr import Expression, Join, Leaf, join_nodes, ordinals, patterns as expr_patterns, variables
+from .expr import Expression, Leaf, join_nodes, ordinals, patterns as expr_patterns, variables
 from .ntriples import Term
 from .query import TriplePattern, Var
-from .store import TripleStore, match
+from .store import TripleStore, count, match
 
 DEFAULT_ORACLE_CAP = 10_000_000
 ORACLE_CAP_ENV = "FEDCARD_ORACLE_CAP"
 
-Binding = dict  # variable name -> Term
+# Projected binding, in sorted variable-name order -> its multiplicity.
+Counts = dict[tuple[Term, ...], int]
 
 
 class OracleBlowupError(RuntimeError):
@@ -47,48 +56,24 @@ def default_cap() -> int:
     return int(env)
 
 
-def _leaf_bindings(tp: TriplePattern, stores: Sequence[TripleStore]) -> list[Binding]:
-    out: list[Binding] = []
-    slots = tp.slots()
-    for store in stores:
-        for triple in match(store, tp):
-            values = (triple.subject, triple.predicate, triple.object)
-            binding: Binding = {}
-            for (_, slot), value in zip(slots, values):
-                if isinstance(slot, Var):
-                    binding[slot.name] = value
-            out.append(binding)
-    return out
+def _projector(getter: Callable, fields: Sequence) -> Callable[[object], tuple]:
+    """Map a row to the tuple of its ``fields``; ``getter`` is itemgetter or attrgetter."""
+    if not fields:
+        return lambda row: ()
+    if len(fields) == 1:
+        get = getter(fields[0])
+        return lambda row: (get(row),)
+    return getter(*fields)
 
 
-def _hash_join(left: list[Binding], right: list[Binding], shared: tuple[str, ...], cap: int) -> list[Binding]:
-    if not shared:
-        size = len(left) * len(right)
-        if size > cap:
-            raise OracleBlowupError(size, cap)
-        return [{**l, **r} for l in left for r in right]
-
-    build, probe, build_is_left = (left, right, True) if len(left) <= len(right) else (right, left, False)
-    table: dict[tuple[Term, ...], list[Binding]] = {}
-    for b in build:
-        table.setdefault(tuple(b[v] for v in shared), []).append(b)
-
-    size = 0
-    for b in probe:
-        size += len(table.get(tuple(b[v] for v in shared), ()))
-        if size > cap:
-            raise OracleBlowupError(size, cap)
-
-    out = []
-    for b in probe:
-        for other in table.get(tuple(b[v] for v in shared), ()):
-            merged = {**other, **b} if build_is_left else {**b, **other}
-            out.append(merged)
-    return out
-
-
-def _shared_vars(expr: Join) -> tuple[str, ...]:
-    return tuple(sorted(variables(expr.left) & variables(expr.right)))
+def _group(counts: Counts, key_of: Callable, part_of: Callable) -> dict[tuple, Counts]:
+    """Split a map by ``key_of``, summing multiplicities per ``part_of`` within each key."""
+    groups: dict[tuple, Counts] = {}
+    for row, n in counts.items():
+        group = groups.setdefault(key_of(row), {})
+        part = part_of(row)
+        group[part] = group.get(part, 0) + n
+    return groups
 
 
 def true_tp_card(
@@ -101,53 +86,107 @@ def true_tp_card(
     for store in stores:
         if sources is not None and store.source_name not in sources:
             continue
-        total += len(match(store, tp))
+        total += count(store, tp)
     return total
 
 
 class Oracle:
-    """Caching evaluator over a fixed store set.
+    """Counting evaluator over a fixed store set.
 
     Natural joins are associative and commutative under bag semantics, so
-    results are cached by the set of leaf ordinals an expression covers.
+    a node's bag depends only on the set of leaf ordinals it covers. Maps
+    are cached by that set and the projection; each node's total bag size
+    is cached by the set alone, so ``cardinality`` of a node that has been
+    evaluated under any projection is a lookup.
     """
 
     def __init__(self, stores: Sequence[TripleStore], cap: Optional[int] = None):
         self.stores = tuple(stores)
         self.cap = default_cap() if cap is None else cap
-        self._cache: dict[frozenset[int], list[Binding]] = {}
+        self._maps: dict[tuple[frozenset[int], frozenset[str]], Counts] = {}
+        self._totals: dict[frozenset[int], int] = {}
 
-    def bindings(self, expr: Expression) -> list[Binding]:
-        key = ordinals(expr)
-        cached = self._cache.get(key)
+    def bindings(self, expr: Expression, keep: frozenset[str] = frozenset()) -> Counts:
+        """The bag of ``expr`` projected onto ``sorted(keep)``, with multiplicities.
+
+        ``keep`` is a subset of the expression's variables. Raises
+        OracleBlowupError, before building the map, when the bag of this
+        node or of any node below it holds more than ``cap`` bindings.
+        """
+        node = ordinals(expr)
+        cached = self._maps.get((node, keep))
         if cached is not None:
             return cached
 
+        names = sorted(keep)
         if isinstance(expr, Leaf):
-            result = _leaf_bindings(expr.pattern, self.stores)
-            if len(result) > self.cap:
-                raise OracleBlowupError(len(result), self.cap)
+            tp = expr.pattern
+            attr_of: dict[str, str] = {}  # variable -> the first triple field it occupies
+            for attr in ("subject", "predicate", "object"):
+                slot = getattr(tp, attr)
+                if isinstance(slot, Var):
+                    attr_of.setdefault(slot.name, attr)
+            rows = [t for store in self.stores for t in match(store, tp)]
+            total = len(rows)
+            if total > self.cap:
+                raise OracleBlowupError(total, self.cap)
+            result = dict(Counter(map(_projector(attrgetter, [attr_of[v] for v in names]), rows)))
         else:
-            left = self.bindings(expr.left)
-            right = self.bindings(expr.right)
-            result = _hash_join(left, right, _shared_vars(expr), self.cap)
-        self._cache[key] = result
+            lvars, rvars = variables(expr.left), variables(expr.right)
+            lnames = sorted(lvars & (keep | rvars))
+            rnames = sorted(rvars & (keep | lvars))
+            left = self.bindings(expr.left, frozenset(lnames))
+            right = self.bindings(expr.right, frozenset(rnames))
+
+            shared = sorted(lvars & rvars)
+            lout = [v for v in names if v in lvars]
+            rout = [v for v in names if v not in lvars]
+            lgroups = _group(
+                left,
+                _projector(itemgetter, [lnames.index(v) for v in shared]),
+                _projector(itemgetter, [lnames.index(v) for v in lout]),
+            )
+            rgroups = _group(
+                right,
+                _projector(itemgetter, [rnames.index(v) for v in shared]),
+                _projector(itemgetter, [rnames.index(v) for v in rout]),
+            )
+            matched = [(lg, rg) for k, lg in lgroups.items() if (rg := rgroups.get(k)) is not None]
+            total = sum(sum(lg.values()) * sum(rg.values()) for lg, rg in matched)
+            if total > self.cap:
+                raise OracleBlowupError(total, self.cap)
+
+            arrange = _projector(itemgetter, [(lout + rout).index(v) for v in names])
+            result = {}
+            for lg, rg in matched:
+                for lpart, ln in lg.items():
+                    for rpart, rn in rg.items():
+                        key = arrange(lpart + rpart)
+                        result[key] = result.get(key, 0) + ln * rn
+        self._totals[node] = total
+        self._maps[(node, keep)] = result
         return result
 
     def cardinality(self, expr: Expression) -> int:
-        return len(self.bindings(expr))
+        node = ordinals(expr)
+        if node not in self._totals:
+            self.bindings(expr)
+        return self._totals[node]
 
 
 def evaluate_expression(
     expr: Expression,
     stores: Sequence[TripleStore],
     cap: Optional[int] = None,
-) -> list[Binding]:
+) -> list[dict[str, Term]]:
     """Bag of bindings produced by the expression over all stores.
 
-    Leaves are told apart by pattern ordinal, as in ``Oracle``.
+    The expansion of the oracle's unprojected multiplicity map; leaves are
+    told apart by pattern ordinal, as in ``Oracle``.
     """
-    return Oracle(stores, cap).bindings(expr)
+    names = sorted(variables(expr))
+    counts = Oracle(stores, cap).bindings(expr, frozenset(names))
+    return [dict(zip(names, row)) for row, n in counts.items() for _ in range(n)]
 
 
 @dataclass(slots=True)

@@ -93,11 +93,20 @@ def match(store: TripleStore, pattern: TriplePattern) -> list[Triple]:
     pattern's slots (not its ordinal, so the same pattern in another query
     hits the memo); every call returns a fresh list.
     """
+    return list(_memoised(store, pattern))
+
+
+def count(store: TripleStore, pattern: TriplePattern) -> int:
+    """Number of store triples unifying with the pattern, read off the match memo without a copy."""
+    return len(_memoised(store, pattern))
+
+
+def _memoised(store: TripleStore, pattern: TriplePattern) -> tuple[Triple, ...]:
     key = (pattern.subject, pattern.predicate, pattern.object)
     found = store._match_memo.get(key)
     if found is None:
         found = store._match_memo[key] = _scan(store, pattern)
-    return list(found)
+    return found
 
 
 def _scan(store: TripleStore, pattern: TriplePattern) -> tuple[Triple, ...]:
@@ -161,9 +170,11 @@ def _parse_token(token: str) -> Term:
 
 def load_store(path: str | Path) -> TripleStore:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    version = doc.get("format_version")
+    version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != STORE_FORMAT_VERSION:
         raise ValueError(f"unsupported store format_version {version!r} in {path}")
+    if "source" not in doc or "triples" not in doc:
+        raise ValueError(f"store file {path} lacks 'source' or 'triples'")
     triples = [
         Triple(_parse_token(s), _parse_token(p), _parse_token(o))
         for s, p, o in doc["triples"]

@@ -350,3 +350,59 @@ def test_correlate_irls_outlier_footer(runner, tmp_path):
     assert result.exit_code == 0, result.output
     assert "# outliers:" in report_csv.read_text()
     assert "q5" in report_csv.read_text()
+
+
+def _break_format_version(stores):
+    path = stores / "A.store"
+    path.write_text(path.read_text().replace('"format_version": 1', '"format_version": 99'))
+
+
+def _break_json(stores):
+    (stores / "A.store").write_text('{"format_version": 1, "source": "A", "tri')
+
+
+def _duplicate_source(stores):
+    (stores / "A2.store").write_bytes((stores / "A.store").read_bytes())
+
+
+def _drop_triples(stores):
+    (stores / "A.store").write_text('{"format_version": 1, "source": "A"}')
+
+
+@pytest.mark.parametrize("command", ["summarize", "evaluate"])
+@pytest.mark.parametrize(
+    "damage", [_break_format_version, _break_json, _duplicate_source, _drop_triples]
+)
+def test_unreadable_store_dir_is_a_data_error(runner, workspace, tmp_path, command, damage):
+    stores = workspace / "stores"
+    damage(stores)
+    args = [command, "--stores", str(stores), "--out", str(tmp_path / "out")]
+    if command == "evaluate":
+        args += ["--queries", str(workspace / "fx/toy/queries")]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    (line,) = result.output.splitlines()
+    assert line.startswith(f"error: cannot load stores from {stores}: ")
+
+
+@pytest.mark.parametrize(
+    "runtimes_text, message",
+    [
+        ("query_id,engine\nq1,lhd\n", "runtimes file needs columns"),
+        ("query_id,engine,runtime_ms\nq1,lhd,1.5\nq2,lhd,fast\n", "line 3: runtime_ms 'fast' is not a number"),
+        ("query_id,engine,runtime_ms\nq1,lhd\n", "line 2: runtime_ms None is not a number"),
+    ],
+)
+def test_correlate_bad_runtimes_is_a_data_error(runner, tmp_path, runtimes_text, message):
+    results = tmp_path / "results.csv"
+    results.write_text(RESULTS_HEADER + "\n")
+    runtimes = tmp_path / "runtimes.csv"
+    runtimes.write_text(runtimes_text)
+    result = runner.invoke(
+        main, ["correlate", "--results", str(results), "--runtimes", str(runtimes)]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    (line,) = result.output.splitlines()
+    assert line.startswith(f"error: {runtimes}: ") and message in line

@@ -1,12 +1,15 @@
 import random
+import tracemalloc
+from collections import Counter
+from math import prod
 
 import pytest
 
 from conftest import tp, toy_iri
 
 from fedcard.estimators import make_estimator
-from fedcard.expr import Leaf, join, patterns as expr_patterns
-from fedcard.fixtures import fig_example_query
+from fedcard.expr import Leaf, join, join_nodes, leaves, patterns as expr_patterns, variables
+from fedcard.fixtures import BENCH_BASE, bench_stores, fig_example_query
 from fedcard.ntriples import Triple, iri
 from fedcard.oracle import (
     Oracle,
@@ -15,11 +18,11 @@ from fedcard.oracle import (
     trace_plan,
     true_tp_card,
 )
-from fedcard.query import Var, parse_query
+from fedcard.query import TriplePattern, Var, parse_query
 from fedcard.store import build_store, match
 
 
-def nested_loop_count(expr, stores) -> int:
+def nested_loop_rows(expr, stores) -> list[dict]:
     """Independent oracle: binding enumeration without hash tables."""
     rows = [dict()]
     for pattern in expr_patterns(expr):
@@ -37,7 +40,11 @@ def nested_loop_count(expr, stores) -> int:
             for extra in leaf_rows
             if all(acc.get(k, v) == v for k, v in extra.items())
         ]
-    return len(rows)
+    return rows
+
+
+def nested_loop_count(expr, stores) -> int:
+    return len(nested_loop_rows(expr, stores))
 
 
 def test_true_tp_card(toy1):
@@ -199,3 +206,116 @@ def test_trace_over_empty_store():
     assert trace.tp_real == (0.0, 0.0)
     assert trace.join_real == (0.0,)
     assert trace.tp_est == (0.0, 0.0)
+
+
+def _random_case(rng):
+    stores = []
+    for s in range(rng.randrange(1, 3)):
+        triples = [
+            Triple(
+                iri(f"http://r/n{rng.randrange(6)}"),
+                iri(f"http://r/p{rng.randrange(3)}"),
+                iri(f"http://r/n{rng.randrange(6)}"),
+            )
+            for _ in range(rng.randrange(0, 40))
+        ]
+        stores.append(build_store(f"S{s}", triples))
+
+    def slot(prefix, n):
+        if rng.random() < 0.6:
+            return Var(rng.choice("abc"))  # three names over up to 12 slots: repeats are common
+        return iri(f"http://r/{prefix}{rng.randrange(n)}")
+
+    tps = [
+        TriplePattern(slot("n", 6), slot("p", 3), slot("n", 6), ordinal=i)
+        for i in range(rng.randrange(1, 5))
+    ]
+    return stores, tps
+
+
+def _random_tree(rng, tps):
+    """A random, possibly bushy, join tree over the patterns."""
+    if len(tps) == 1:
+        return Leaf(tps[0])
+    tps = rng.sample(tps, len(tps))
+    cut = rng.randrange(1, len(tps))
+    return join(_random_tree(rng, tps[:cut]), _random_tree(rng, tps[cut:]))
+
+
+def _candidate_joins(plan):
+    """Every join of a left-deep plan's prefix with a pattern not yet in it, as classification asks."""
+    chain = [leaf.pattern for leaf in leaves(plan)]
+    prefix = Leaf(chain[0])
+    out = []
+    for i, step in enumerate(chain[1:], start=1):
+        out.extend(join(prefix, Leaf(tp)) for tp in chain[i:])
+        prefix = join(prefix, Leaf(step))
+    return out
+
+
+def test_shared_oracle_counts_match_nested_loop_random():
+    rng = random.Random(11)
+    repeated = bushy = 0
+    for _ in range(60):
+        stores, tps = _random_case(rng)
+        repeated += any(len(tp.variables()) < sum(isinstance(x, Var) for _, x in tp.slots()) for tp in tps)
+        oracle = Oracle(stores)
+        left_deep = Leaf(tps[0])
+        for pattern in rng.sample(tps[1:], len(tps) - 1):
+            left_deep = join(left_deep, Leaf(pattern))
+        plans = [left_deep, _random_tree(rng, tps), _random_tree(rng, tps)]
+        bushy += any(not isinstance(node.right, Leaf) for p in plans for node in join_nodes(p))
+        exprs = [node for p in plans for node in [*leaves(p), *join_nodes(p)]]
+        exprs += _candidate_joins(left_deep)
+        for expr in rng.sample(exprs, len(exprs)):
+            rows = nested_loop_rows(expr, stores)
+            root = oracle.bindings(expr)
+            assert sum(root.values()) == len(rows) and set(root) <= {()}
+            assert oracle.cardinality(expr) == len(rows)
+            names = sorted(variables(expr))
+            keep = frozenset(rng.sample(names, rng.randrange(len(names) + 1)))
+            projected = Counter(tuple(row[v] for v in sorted(keep)) for row in rows)
+            assert oracle.bindings(expr, keep) == projected
+    assert repeated and bushy
+
+
+def _fanout_store():
+    """Four subjects share one ``p`` object; two ``q`` triples stand apart."""
+    triples = [Triple(toy_iri(f"s{i}"), toy_iri("p"), toy_iri("o")) for i in range(4)]
+    triples += [Triple(toy_iri(f"t{i}"), toy_iri("q"), toy_iri(f"u{i}")) for i in range(2)]
+    return build_store("F", triples)
+
+
+@pytest.mark.parametrize(
+    "expr, total",
+    [
+        (Leaf(tp("?x", "p", "?o", 0)), 4),
+        (join(Leaf(tp("?x", "p", "?o", 0)), Leaf(tp("?y", "p", "?o", 1))), 16),
+        (join(Leaf(tp("?x", "p", "?o", 0)), Leaf(tp("?y", "q", "?z", 1))), 8),
+    ],
+    ids=["leaf", "keyed-join", "cartesian-join"],
+)
+def test_cap_boundary(expr, total):
+    store = _fanout_store()
+    assert Oracle([store], cap=total).cardinality(expr) == total
+    with pytest.raises(OracleBlowupError) as err:
+        Oracle([store], cap=total - 1).cardinality(expr)
+    assert (err.value.size, err.value.cap) == (total, total - 1)
+
+
+def test_cartesian_query_counts_without_materialising():
+    stores = bench_stores()
+    tps = [
+        TriplePattern(Var(f"s{i}"), iri(BENCH_BASE + f"voc/{name}"), Var(f"o{i}"), ordinal=i)
+        for i, name in enumerate(("type", "name", "linksTo"))
+    ]
+    expected = prod(true_tp_card(pattern, stores) for pattern in tps)
+    plan = join(join(Leaf(tps[0]), Leaf(tps[1])), Leaf(tps[2]))
+    tracemalloc.start()
+    try:
+        assert Oracle(stores, cap=10**12).cardinality(plan) == expected
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert expected > 10**8
+    assert peak < 20 * 2**20
