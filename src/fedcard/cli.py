@@ -46,7 +46,7 @@ def ingest(source: str, file_path: str, out_dir: str) -> None:
         sys.exit(2)
     try:
         store = load_ntriples_file(source, path)
-    except NTriplesParseError as exc:
+    except (NTriplesParseError, UnicodeDecodeError) as exc:
         click.echo(f"error: {path}: {exc}", err=True)
         sys.exit(1)
     out = Path(out_dir)
@@ -109,10 +109,13 @@ def evaluate(stores_dir, queries_dir, engines, out_path, oracle_cap, seed) -> No
     del seed  # the pipeline is deterministic; the flag pins the contract
     engine_names = _parse_engines(engines)
     stores = _load_stores(stores_dir)
-    queries = {
-        path.stem: path.read_text(encoding="utf-8")
-        for path in sorted(Path(queries_dir).glob("*.rq"))
-    }
+    queries = {}
+    for path in sorted(Path(queries_dir).glob("*.rq")):
+        try:
+            queries[path.stem] = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            click.echo(f"error: {path}: {exc}", err=True)
+            sys.exit(1)
     if oracle_cap is not None and oracle_cap < 1:
         click.echo(f"error: --oracle-cap must be a positive integer, got {oracle_cap}", err=True)
         sys.exit(2)
@@ -186,7 +189,11 @@ def correlate(results_path, runtimes_path, features, method, common_only, out_pa
                 err=True,
             )
             sys.exit(2)
-    results = read_results_csv(results_path)
+    try:
+        results = read_results_csv(results_path)
+    except ValueError as exc:  # includes UnicodeDecodeError
+        click.echo(f"error: {results_path}: {exc}", err=True)
+        sys.exit(1)
     try:
         runtimes = read_runtimes_csv(runtimes_path)
     except ValueError as exc:

@@ -155,7 +155,11 @@ def write_results_csv(rows: Sequence[EvalRow], path: str | Path) -> None:
 
 def read_results_csv(path: str | Path) -> list[dict]:
     with open(path, newline="", encoding="utf-8") as fh:
-        return [dict(r) for r in csv.DictReader(fh)]
+        reader = csv.DictReader(fh)
+        required = RESULTS_HEADER.split(",")
+        if reader.fieldnames is None or not set(required) <= set(reader.fieldnames):
+            raise ValueError(f"results file needs columns {required}")
+        return [dict(r) for r in reader]
 
 
 def read_runtimes_csv(path: str | Path) -> dict[tuple[str, str], float]:

@@ -3,7 +3,8 @@
 The parser accepts the W3C N-Triples grammar (IRIs, typed/tagged literals,
 blank nodes, ``#`` comments) and reports syntax errors with 1-based line
 numbers. Duplicates are preserved in document order; deduplication happens
-when a store is built.
+when a store is built. ``parse_term`` reads a single term token with the
+same scanner; it is the one term reader of store files and queries.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import Iterator, Optional
-
-XSD_STRING = "http://www.w3.org/2001/XMLSchema#string"
 
 _ESCAPES = {
     "t": "\t",
@@ -265,6 +264,21 @@ def iter_ntriples(text: str) -> Iterator[Triple]:
         if not scanner.at_end():
             raise NTriplesParseError(lineno, f"trailing content {scanner.rest().strip()!r}")
         yield Triple(subject, predicate, obj)
+
+
+def parse_term(token: str) -> Term:
+    """Read one N-Triples term token: ``<iri>``, ``_:label`` or a literal.
+
+    Raises NTriplesParseError for a non-string, an empty token, or content
+    after the term.
+    """
+    if not isinstance(token, str):
+        raise NTriplesParseError(1, f"term token must be a string, got {token!r}")
+    scanner = _LineScanner(token, 1)
+    term = scanner.term("RDF")
+    if scanner.pos != len(token):
+        raise scanner.error(f"trailing content {scanner.rest()!r}")
+    return term
 
 
 def parse_ntriples(text: str) -> list[Triple]:

@@ -5,8 +5,10 @@ Supported grammar::
     SELECT (* | ?var ...) WHERE { tp ( "." tp )* "."? }
 
 with IRIs in angle brackets, literals quoted (optionally typed or
-language-tagged), and variables written ``?name``. OPTIONAL / FILTER /
-UNION and friends are rejected with an "unsupported clause" error.
+language-tagged), and variables written ``?name``. IRIs and literals
+follow N-Triples term syntax and are read by ``ntriples.parse_term``.
+OPTIONAL / FILTER / UNION and friends are rejected with an "unsupported
+clause" error.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .ntriples import Term, TermKind, _unescape, iri, literal
+from .ntriples import NTriplesParseError, Term, TermKind, parse_term
 
 _UNSUPPORTED_CLAUSES = (
     "OPTIONAL",
@@ -274,34 +276,13 @@ class _QueryParser:
         tok = self._next(f"expected {role} term")
         if tok.kind == "var":
             return Var(tok.text[1:])
-        if tok.kind == "iri":
-            value = tok.text[1:-1]
-            if not value:
-                raise QueryParseError(tok.line, tok.column, "empty IRI")
-            return iri(value)
-        if tok.kind == "literal":
-            return _parse_literal_token(tok)
+        if tok.kind in ("iri", "literal"):
+            try:
+                return parse_term(tok.text)
+            except NTriplesParseError as exc:
+                raise QueryParseError(tok.line, tok.column, exc.reason) from None
         self._check_unsupported(tok)
         raise QueryParseError(tok.line, tok.column, f"expected {role} term, found {tok.text!r}")
-
-
-def _parse_literal_token(tok: _Token) -> Term:
-    text = tok.text
-    end = 1
-    while end < len(text):
-        if text[end] == "\\":
-            end += 2
-            continue
-        if text[end] == '"':
-            break
-        end += 1
-    body = _unescape(text[1:end], tok.line)
-    suffix = text[end + 1 :]
-    if suffix.startswith("^^<"):
-        return literal(body, datatype=suffix[3:-1])
-    if suffix.startswith("@"):
-        return literal(body, langtag=suffix[1:])
-    return literal(body)
 
 
 def parse_query(text: str) -> BasicGraphPattern:

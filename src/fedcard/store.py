@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .ntriples import Term, Triple, _LineScanner, format_term, parse_ntriples
+from .ntriples import NTriplesParseError, Term, Triple, format_term, parse_ntriples, parse_term
 from .query import Slot, TriplePattern, Var
 
 STORE_FORMAT_VERSION = 1
@@ -164,21 +164,22 @@ def save_store(store: TripleStore, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
-def _parse_token(token: str) -> Term:
-    return _LineScanner(token, 1).term("term")
-
-
 def load_store(path: str | Path) -> TripleStore:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if version != STORE_FORMAT_VERSION:
         raise ValueError(f"unsupported store format_version {version!r} in {path}")
-    if "source" not in doc or "triples" not in doc:
-        raise ValueError(f"store file {path} lacks 'source' or 'triples'")
-    triples = [
-        Triple(_parse_token(s), _parse_token(p), _parse_token(o))
-        for s, p, o in doc["triples"]
-    ]
+    if "source" not in doc or not isinstance(doc.get("triples"), list):
+        raise ValueError(f"store file {path} lacks 'source' or a 'triples' list")
+    triples = []
+    for index, entry in enumerate(doc["triples"]):
+        try:
+            if not isinstance(entry, list) or len(entry) != 3:
+                raise ValueError("expected a list of three term tokens")
+            triples.append(Triple(parse_term(entry[0]), parse_term(entry[1]), parse_term(entry[2])))
+        except ValueError as exc:
+            reason = exc.reason if isinstance(exc, NTriplesParseError) else exc
+            raise ValueError(f"{path}: triples[{index}]: {reason}") from None
     return build_store(doc["source"], triples)
 
 

@@ -13,7 +13,8 @@ Two kinds of statistics are computed from the stores:
 them under CostFed's field names, adding the average subject/object
 selectivities 1 / distinct-count (so ``T * avgSS`` is the mean number of
 triples per subject). Each summary serializes to one versioned JSON file
-per source.
+per source; the files are written for inspection and nothing reads them
+back (the estimators always build summaries from the stores).
 """
 
 from __future__ import annotations
@@ -92,28 +93,6 @@ class VoidSummary:
             },
         }
 
-    @classmethod
-    def from_json_dicts(cls, docs: Iterable[dict]) -> "VoidSummary":
-        sources = []
-        for doc in docs:
-            _check_version(doc)
-            stats = doc["stats"]
-            sources.append(
-                SourceVoid(
-                    source=doc["source"],
-                    triples=stats["triples"],
-                    distinct_subjects=stats["distinct_subjects"],
-                    distinct_objects=stats["distinct_objects"],
-                    predicates={
-                        p: PredicateStats(
-                            st["triples"], st["distinct_subjects"], st["distinct_objects"]
-                        )
-                        for p, st in stats["predicates"].items()
-                    },
-                )
-            )
-        return cls(sources)
-
 
 def build_void(stores: Sequence[TripleStore]) -> VoidSummary:
     """Exact per-source VoID statistics read off the store index tables."""
@@ -172,13 +151,6 @@ class CostFedSummary(VoidSummary):
             },
         }
 
-    @classmethod
-    def from_json_dicts(cls, docs: Iterable[dict]) -> "CostFedSummary":
-        return super().from_json_dicts(
-            {**doc, "stats": {k.removeprefix("total_"): v for k, v in doc["stats"].items()}}
-            for doc in docs
-        )
-
 
 def build_costfed(stores: Sequence[TripleStore]) -> CostFedSummary:
     """CostFed statistics: the VoID counts with their selectivities."""
@@ -186,10 +158,6 @@ def build_costfed(stores: Sequence[TripleStore]) -> CostFedSummary:
 
 
 # ---------------------------------------------------------------- characteristic sets
-
-
-CharSet = frozenset
-CharPairKey = tuple  # (subject charset, object charset, predicate IRI)
 
 
 @dataclass(slots=True)
@@ -238,29 +206,6 @@ class CharSetSummary:
             "source": s.source,
             "stats": {"characteristic_sets": charsets, "characteristic_pairs": charpairs},
         }
-
-    @classmethod
-    def from_json_dicts(cls, docs: Iterable[dict]) -> "CharSetSummary":
-        sources = []
-        for doc in docs:
-            _check_version(doc)
-            stats = doc["stats"]
-            charsets = {
-                frozenset(entry["predicates"]): CharSetStats(
-                    entry["count"], dict(entry["occurrences"])
-                )
-                for entry in stats["characteristic_sets"]
-            }
-            charpairs = {
-                (
-                    frozenset(entry["subject_set"]),
-                    frozenset(entry["object_set"]),
-                    entry["predicate"],
-                ): entry["count"]
-                for entry in stats["characteristic_pairs"]
-            }
-            sources.append(SourceCharSets(doc["source"], charsets, charpairs))
-        return cls(sources)
 
 
 def build_charsets(stores: Sequence[TripleStore]) -> CharSetSummary:
@@ -318,14 +263,7 @@ def build_all(stores: Sequence[TripleStore]) -> SummarySet:
     return SummarySet(void, CostFedSummary(void.sources.values()), build_charsets(stores))
 
 
-def _check_version(doc: dict) -> None:
-    version = doc.get("format_version")
-    if version != SUMMARY_FORMAT_VERSION:
-        raise ValueError(f"unsupported summary format_version {version!r}")
-
-
 _KIND_SUFFIX = {"void": ".void.json", "costfed": ".costfed.json", "charsets": ".charsets.json"}
-_KIND_CLASS = {"void": VoidSummary, "costfed": CostFedSummary, "charsets": CharSetSummary}
 
 
 def save_summary(summary, kind: str, directory: str | Path) -> list[Path]:
@@ -340,10 +278,3 @@ def save_summary(summary, kind: str, directory: str | Path) -> list[Path]:
         written.append(path)
     return written
 
-
-def load_summary(kind: str, directory: str | Path):
-    suffix = _KIND_SUFFIX[kind]
-    docs = []
-    for path in sorted(Path(directory).glob(f"*{suffix}")):
-        docs.append(json.loads(path.read_text(encoding="utf-8")))
-    return _KIND_CLASS[kind].from_json_dicts(docs)

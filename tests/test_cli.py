@@ -56,6 +56,18 @@ def test_ingest_malformed_line_number(runner, tmp_path):
     assert "line 7" in result.output
 
 
+def test_ingest_non_utf8_file_is_a_data_error(runner, tmp_path):
+    bad = tmp_path / "bad.nt"
+    bad.write_bytes(b"\xff<http://x/s> <http://x/p> <http://x/o> .\n")
+    result = runner.invoke(
+        main, ["ingest", "--source", "X", "--file", str(bad), "--out", str(tmp_path / "st")]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    (line,) = result.output.splitlines()
+    assert line.startswith(f"error: {bad}: ") and "utf-8" in line
+
+
 def test_summarize_writes_all_kinds(runner, workspace):
     out = workspace / "summ"
     result = runner.invoke(
@@ -113,6 +125,22 @@ def test_evaluate_unparseable_query_yields_failed_rows(runner, workspace, tmp_pa
     assert len(rows) == 5
     assert all(r["status"] == "failed" and r["plan_class"] == "Failed" for r in rows)
     assert all(r["E_P"] == "" for r in rows)
+
+
+def test_evaluate_non_utf8_query_is_a_data_error(runner, workspace, tmp_path):
+    queries = tmp_path / "queries"
+    queries.mkdir()
+    bad = queries / "bad.rq"
+    bad.write_bytes(b"\xffSELECT * WHERE { ?s <http://x/p> ?o }")
+    result = runner.invoke(
+        main,
+        ["evaluate", "--stores", str(workspace / "stores"), "--queries", str(queries),
+         "--out", str(tmp_path / "bad.csv")],
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    (line,) = result.output.splitlines()
+    assert line.startswith(f"error: {bad}: ") and "utf-8" in line
 
 
 def test_evaluate_unknown_engine(runner, workspace, tmp_path):
@@ -369,9 +397,35 @@ def _drop_triples(stores):
     (stores / "A.store").write_text('{"format_version": 1, "source": "A"}')
 
 
+def _non_string_term(stores):
+    (stores / "A.store").write_text('{"format_version": 1, "source": "A", "triples": [[1, 2, 3]]}')
+
+
+def _short_triple(stores):
+    (stores / "A.store").write_text(
+        '{"format_version": 1, "source": "A", "triples": [["<http://x/a>", "<http://x/p>"]]}'
+    )
+
+
+def _trailing_term_content(stores):
+    (stores / "A.store").write_text(
+        '{"format_version": 1, "source": "A", '
+        '"triples": [["<http://x/a> junk", "<http://x/p>", "<http://x/o>"]]}'
+    )
+
+
 @pytest.mark.parametrize("command", ["summarize", "evaluate"])
 @pytest.mark.parametrize(
-    "damage", [_break_format_version, _break_json, _duplicate_source, _drop_triples]
+    "damage",
+    [
+        _break_format_version,
+        _break_json,
+        _duplicate_source,
+        _drop_triples,
+        _non_string_term,
+        _short_triple,
+        _trailing_term_content,
+    ],
 )
 def test_unreadable_store_dir_is_a_data_error(runner, workspace, tmp_path, command, damage):
     stores = workspace / "stores"
@@ -406,3 +460,17 @@ def test_correlate_bad_runtimes_is_a_data_error(runner, tmp_path, runtimes_text,
     assert isinstance(result.exception, SystemExit)
     (line,) = result.output.splitlines()
     assert line.startswith(f"error: {runtimes}: ") and message in line
+
+
+def test_correlate_results_without_columns_is_a_data_error(runner, tmp_path):
+    results = tmp_path / "results.csv"
+    results.write_text("query_id,E_P\nq1,0.5\n")
+    runtimes = tmp_path / "runtimes.csv"
+    runtimes.write_text("query_id,engine,runtime_ms\nq1,lhd,1.5\n")
+    result = runner.invoke(
+        main, ["correlate", "--results", str(results), "--runtimes", str(runtimes)]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    (line,) = result.output.splitlines()
+    assert line.startswith(f"error: {results}: results file needs columns")

@@ -1,10 +1,13 @@
-"""Byte-for-byte pins of the results CSV and of a summary file.
+"""Byte-for-byte pins of the results CSV and of the summary files.
 
 The golden files were written by the code that defined these outputs; a
-refactor that changes a single byte of either fails here.
+refactor that changes a single byte of any of them fails here. Nothing
+reads summary files back, so these pins are what holds their format.
 """
 
 from pathlib import Path
+
+import pytest
 
 from fedcard.estimators import ENGINE_NAMES
 from fedcard.evaluation import evaluate_queries, rows_to_csv
@@ -23,3 +26,10 @@ def test_bench_results_csv_matches_golden():
 def test_costfed_summary_file_matches_golden(tmp_path, toy1_summaries):
     (path,) = save_summary(toy1_summaries.costfed, "costfed", tmp_path)
     assert path.read_bytes() == (GOLDEN / "A.costfed.json").read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["void", "charsets"])
+def test_toy2_summary_file_matches_golden(tmp_path, toy2_summaries, kind):
+    """toy2 has characteristic pairs, so the charsets file pins their layout too."""
+    (path,) = save_summary(getattr(toy2_summaries, kind), kind, tmp_path)
+    assert path.read_bytes() == (GOLDEN / f"A.{kind}.json").read_bytes()

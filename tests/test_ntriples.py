@@ -3,10 +3,13 @@ import pytest
 from fedcard.ntriples import (
     NTriplesParseError,
     TermKind,
+    blank,
+    format_term,
     format_triple,
     iri,
     literal,
     parse_ntriples,
+    parse_term,
 )
 
 
@@ -92,3 +95,34 @@ def test_format_round_trip():
     triples = parse_ntriples(text)
     again = parse_ntriples("\n".join(format_triple(t) for t in triples))
     assert again == triples
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        iri("http://x/s"),
+        blank("node-1"),
+        literal('a"b\\c\nd\te\rf'),
+        literal("42", datatype="http://www.w3.org/2001/XMLSchema#integer"),
+        literal('say "hi"\n', langtag="en-GB"),
+    ],
+)
+def test_parse_term_round_trips_format_term(term):
+    assert parse_term(format_term(term)) == term
+
+
+@pytest.mark.parametrize(
+    "token, reason",
+    [
+        ("<http://x/a> junk", "trailing content ' junk'"),
+        ("<http://x/a> ", "trailing content ' '"),
+        ('"x"@en .', "trailing content ' .'"),
+        ("", "expected RDF term"),
+        (42, "term token must be a string"),
+        ('"x"^^<>', "empty IRI"),
+    ],
+)
+def test_parse_term_rejects(token, reason):
+    with pytest.raises(NTriplesParseError) as err:
+        parse_term(token)
+    assert err.value.reason.startswith(reason)

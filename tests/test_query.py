@@ -1,6 +1,6 @@
 import pytest
 
-from fedcard.ntriples import iri
+from fedcard.ntriples import iri, literal
 from fedcard.query import (
     JoinKind,
     QueryParseError,
@@ -73,6 +73,26 @@ def test_ground_terms_and_literals():
     assert pattern.subject == iri("http://x/s")
     assert pattern.object.lexical == "42"
     assert pattern.object.datatype == "http://x/int"
+
+
+def test_empty_datatype_iri_rejected_at_its_column():
+    text = 'SELECT * WHERE {\n  ?s <http://x/p> "x"^^<> }'
+    with pytest.raises(QueryParseError) as err:
+        parse_query(text)
+    assert (err.value.line, err.value.column) == (2, 19)
+    assert err.value.reason == "empty IRI"
+
+
+def test_bad_literal_escape_is_a_query_error():
+    with pytest.raises(QueryParseError) as err:
+        parse_query('SELECT * WHERE { ?s <http://x/p> "a\\qb" }')
+    assert (err.value.line, err.value.column) == (1, 34)
+    assert "unknown escape" in err.value.reason
+
+
+def test_datatype_iri_escapes_read_like_data_terms():
+    bgp = parse_query('SELECT * WHERE { ?s <http://x/p> "x"^^<http://x/\\u0041> }')
+    assert bgp.patterns[0].object == literal("x", datatype="http://x/A")
 
 
 def test_trailing_dot_allowed():

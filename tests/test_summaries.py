@@ -9,7 +9,6 @@ from fedcard.summaries import (
     build_charsets,
     build_costfed,
     build_void,
-    load_summary,
     save_summary,
 )
 
@@ -111,16 +110,6 @@ def test_void_costfed_agree(toy1):
     for predicate, pstats in void.predicates.items():
         assert cf.predicates[predicate].triples == pstats.triples
         assert cf.predicates[predicate].distinct_subjects == pstats.distinct_subjects
-
-
-@pytest.mark.parametrize("kind", ["void", "costfed", "charsets"])
-def test_summary_round_trip(tmp_path, toy2, kind):
-    summaries = build_all([toy2])
-    summary = getattr(summaries, kind)
-    paths = save_summary(summary, kind, tmp_path)
-    assert paths == [tmp_path / f"A.{kind}.json"]
-    loaded = load_summary(kind, tmp_path)
-    assert loaded.to_json_dict("A") == summary.to_json_dict("A")
 
 
 def test_summary_format_version(tmp_path, toy1):
