@@ -88,21 +88,6 @@ class LhdEstimator(CardinalityEstimator):
         rnum = self.distinct_values(rsources, right_tp.bound_predicate(), edge.right_pos)
         return (lnum * rnum) / (lden * rden)
 
-    def multi_join_card(
-        self,
-        leaves: Sequence[TriplePattern],
-        cards: Sequence[float],
-        edges: Sequence[JoinEdge],
-    ) -> float:
-        """Flat form: product of member cardinalities times all edge selectivities."""
-        by_ordinal = {tp.ordinal: tp for tp in leaves}
-        card = 1.0
-        for c in cards:
-            card *= c
-        for edge in edges:
-            card *= self.edge_selectivity(edge, by_ordinal[edge.left], by_ordinal[edge.right])
-        return card
-
     def join_card(
         self,
         left: Expression,

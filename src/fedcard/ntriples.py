@@ -5,11 +5,14 @@ blank nodes, ``#`` comments) and reports syntax errors with 1-based line
 numbers. Duplicates are preserved in document order; deduplication happens
 when a store is built. ``parse_term`` reads a single term token with the
 same scanner; it is the one term reader of store files and queries.
+``format_term`` writes tokens that ``parse_term`` reads back to an equal
+term, escaping in IRIs every character N-Triples forbids there.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -24,6 +27,11 @@ _ESCAPES = {
     "\\": "\\",
 }
 _UNESCAPES = {v: "\\" + k for k, v in _ESCAPES.items() if k not in ("'",)}
+# Characters an N-Triples IRIREF may not hold raw; written as UCHARs.
+_IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+# N-Triples ends a line at CR or LF only; str.splitlines would also split
+# inside a term at U+2028, U+0085 and the other Unicode line breaks.
+_EOL = re.compile(r"\r\n|\r|\n")
 
 
 class TermKind(enum.Enum):
@@ -136,13 +144,23 @@ def _escape(value: str) -> str:
     return "".join(out)
 
 
-class _LineScanner:
-    """Tokenizer for one N-Triples statement line."""
+def _escape_iri(value: str) -> str:
+    return _IRI_FORBIDDEN.sub(lambda m: f"\\u{ord(m.group()):04X}", value)
 
-    def __init__(self, text: str, line: int):
+
+class _LineScanner:
+    """Tokenizer for one N-Triples statement line.
+
+    ``iris`` maps a raw IRI token (the text between the angle brackets) to
+    its term. It may be shared by the scanners of one document, so that a
+    repeated IRI is read once; only tokens that read cleanly enter it.
+    """
+
+    def __init__(self, text: str, line: int, iris: dict[str, Term]):
         self.text = text
         self.line = line
         self.pos = 0
+        self.iris = iris
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
@@ -183,10 +201,13 @@ class _LineScanner:
             raise self.error("unterminated IRI")
         raw = self.text[self.pos + 1 : end]
         self.pos = end + 1
-        value = _unescape(raw, self.line)
-        if not value:
-            raise self.error("empty IRI")
-        return iri(value)
+        term = self.iris.get(raw)
+        if term is None:
+            value = _unescape(raw, self.line)
+            if not value:
+                raise self.error("empty IRI")
+            term = self.iris[raw] = iri(value)
+        return term
 
     def _blank(self) -> Term:
         if not self.text.startswith("_:", self.pos):
@@ -244,21 +265,18 @@ def iter_ntriples(text: str) -> Iterator[Triple]:
     Raises NTriplesParseError with a 1-based line number on bad input.
     A literal in subject position is reported as a structural error.
     """
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    iris: dict[str, Term] = {}
+    for lineno, raw_line in enumerate(_EOL.split(text), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        scanner = _LineScanner(line, lineno)
+        scanner = _LineScanner(line, lineno, iris)
         subject = scanner.term("subject")
         if subject.kind is TermKind.LITERAL:
             raise NTriplesParseError(lineno, "literal not allowed as subject")
-        if scanner.at_end():
-            raise NTriplesParseError(lineno, "expected predicate term")
         predicate = scanner.term("predicate")
         if predicate.kind is not TermKind.IRI:
             raise NTriplesParseError(lineno, "predicate must be an IRI")
-        if scanner.at_end():
-            raise NTriplesParseError(lineno, "expected object term")
         obj = scanner.term("object")
         scanner.expect_dot()
         if not scanner.at_end():
@@ -274,7 +292,7 @@ def parse_term(token: str) -> Term:
     """
     if not isinstance(token, str):
         raise NTriplesParseError(1, f"term token must be a string, got {token!r}")
-    scanner = _LineScanner(token, 1)
+    scanner = _LineScanner(token, 1, {})
     term = scanner.term("RDF")
     if scanner.pos != len(token):
         raise scanner.error(f"trailing content {scanner.rest()!r}")
@@ -289,12 +307,12 @@ def parse_ntriples(text: str) -> list[Triple]:
 def format_term(term: Term) -> str:
     """Serialize a term back to its N-Triples token."""
     if term.kind is TermKind.IRI:
-        return f"<{term.lexical}>"
+        return f"<{_escape_iri(term.lexical)}>"
     if term.kind is TermKind.BLANK:
         return f"_:{term.lexical}"
     body = f'"{_escape(term.lexical)}"'
     if term.datatype:
-        return f"{body}^^<{term.datatype}>"
+        return f"{body}^^<{_escape_iri(term.datatype)}>"
     if term.langtag:
         return f"{body}@{term.langtag}"
     return body

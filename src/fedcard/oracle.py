@@ -8,9 +8,11 @@ bindings that share it. A join groups both sides by their shared variables
 and multiplies counts, so a cartesian product is one multiplication (the
 aggregate form of Yannakakis-style evaluation). Leaf bindings come from the
 union of all registered sources, and bindings from different sources join
-freely. A configurable cap on every node's bag size (its total count, not
-its map size) turns runaway joins into a hard error instead of a silently
-truncated (and therefore wrong) count.
+freely. A leaf counts its projected term-id rows and decodes only the
+distinct keys, so every map is keyed by ``Term`` tuples. A configurable
+cap on every node's bag size (its total count, not its map size) turns
+runaway joins into a hard error instead of a silently truncated (and
+therefore wrong) count.
 """
 
 from __future__ import annotations
@@ -18,14 +20,14 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .estimators.base import CardinalityEstimator, PlanEstimates
 from .expr import Expression, Leaf, join_nodes, ordinals, patterns as expr_patterns, variables
 from .ntriples import Term
 from .query import TriplePattern, Var
-from .store import TripleStore, count, match
+from .store import TripleStore, count, decode_keys, match
 
 DEFAULT_ORACLE_CAP = 10_000_000
 ORACLE_CAP_ENV = "FEDCARD_ORACLE_CAP"
@@ -56,14 +58,14 @@ def default_cap() -> int:
     return int(env)
 
 
-def _projector(getter: Callable, fields: Sequence) -> Callable[[object], tuple]:
-    """Map a row to the tuple of its ``fields``; ``getter`` is itemgetter or attrgetter."""
+def _projector(fields: Sequence[int]) -> Callable[[tuple], tuple]:
+    """Map a row to the tuple of its items at ``fields``."""
     if not fields:
         return lambda row: ()
     if len(fields) == 1:
-        get = getter(fields[0])
+        get = itemgetter(fields[0])
         return lambda row: (get(row),)
-    return getter(*fields)
+    return itemgetter(*fields)
 
 
 def _group(counts: Counts, key_of: Callable, part_of: Callable) -> dict[tuple, Counts]:
@@ -121,16 +123,19 @@ class Oracle:
         names = sorted(keep)
         if isinstance(expr, Leaf):
             tp = expr.pattern
-            attr_of: dict[str, str] = {}  # variable -> the first triple field it occupies
-            for attr in ("subject", "predicate", "object"):
-                slot = getattr(tp, attr)
+            position_of: dict[str, int] = {}  # variable -> the first triple position it occupies
+            for position, slot in enumerate((tp.subject, tp.predicate, tp.object)):
                 if isinstance(slot, Var):
-                    attr_of.setdefault(slot.name, attr)
-            rows = [t for store in self.stores for t in match(store, tp)]
-            total = len(rows)
+                    position_of.setdefault(slot.name, position)
+            parts = [match(store, tp) for store in self.stores]
+            total = sum(map(len, parts))
             if total > self.cap:
                 raise OracleBlowupError(total, self.cap)
-            result = dict(Counter(map(_projector(attrgetter, [attr_of[v] for v in names]), rows)))
+            project = _projector([position_of[v] for v in names])
+            ids: Counter = Counter()
+            for rows in parts:
+                ids.update(map(project, rows))
+            result = decode_keys(ids)
         else:
             lvars, rvars = variables(expr.left), variables(expr.right)
             lnames = sorted(lvars & (keep | rvars))
@@ -143,20 +148,20 @@ class Oracle:
             rout = [v for v in names if v not in lvars]
             lgroups = _group(
                 left,
-                _projector(itemgetter, [lnames.index(v) for v in shared]),
-                _projector(itemgetter, [lnames.index(v) for v in lout]),
+                _projector([lnames.index(v) for v in shared]),
+                _projector([lnames.index(v) for v in lout]),
             )
             rgroups = _group(
                 right,
-                _projector(itemgetter, [rnames.index(v) for v in shared]),
-                _projector(itemgetter, [rnames.index(v) for v in rout]),
+                _projector([rnames.index(v) for v in shared]),
+                _projector([rnames.index(v) for v in rout]),
             )
             matched = [(lg, rg) for k, lg in lgroups.items() if (rg := rgroups.get(k)) is not None]
             total = sum(sum(lg.values()) * sum(rg.values()) for lg, rg in matched)
             if total > self.cap:
                 raise OracleBlowupError(total, self.cap)
 
-            arrange = _projector(itemgetter, [(lout + rout).index(v) for v in names])
+            arrange = _projector([(lout + rout).index(v) for v in names])
             result = {}
             for lg, rg in matched:
                 for lpart, ln in lg.items():
@@ -172,21 +177,6 @@ class Oracle:
         if node not in self._totals:
             self.bindings(expr)
         return self._totals[node]
-
-
-def evaluate_expression(
-    expr: Expression,
-    stores: Sequence[TripleStore],
-    cap: Optional[int] = None,
-) -> list[dict[str, Term]]:
-    """Bag of bindings produced by the expression over all stores.
-
-    The expansion of the oracle's unprojected multiplicity map; leaves are
-    told apart by pattern ordinal, as in ``Oracle``.
-    """
-    names = sorted(variables(expr))
-    counts = Oracle(stores, cap).bindings(expr, frozenset(names))
-    return [dict(zip(names, row)) for row, n in counts.items() for _ in range(n)]
 
 
 @dataclass(slots=True)

@@ -1,61 +1,121 @@
-"""Immutable per-source triple collections with pattern-matching indexes.
+"""Immutable per-source triple collections over integer term ids.
 
-A store deduplicates its triples and precomputes the per-predicate
+Every term is interned to a process-wide integer id on first sight, so
+equal terms in different stores share one id. A store holds its
+deduplicated ``(s, p, o)`` id rows in first-seen order, indexes them by
+subject, predicate and object, and precomputes the per-predicate
 distinct-subject / distinct-object tables that the statistics summaries
-read off. Matching is exact: the count of ``match`` is the real
-cardinality of a pattern in this source, and each distinct pattern is
-scanned once per store.
+read off. Terms are decoded only at the edges: ``triples`` and the
+predicate-IRI keys of those tables; ``match`` returns id rows, which
+``term_of`` decodes.
+
+Matching is exact: the length of ``match`` is the real cardinality of a
+pattern in this source, and each distinct pattern is scanned once per
+store.
+
+A store file (format 2) is one JSON document: the store's own term tokens
+in first-seen order, written by ``format_term``, and a flat list of
+indexes into them, three per triple.
 """
 
 from __future__ import annotations
 
 import json
+import threading
+from collections import defaultdict
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .ntriples import NTriplesParseError, Term, Triple, format_term, parse_ntriples, parse_term
+from .ntriples import (
+    NTriplesParseError,
+    Term,
+    TermKind,
+    Triple,
+    format_term,
+    parse_ntriples,
+    parse_term,
+)
 from .query import Slot, TriplePattern, Var
 
-STORE_FORMAT_VERSION = 1
+STORE_FORMAT_VERSION = 2
+
+IdRow = tuple[int, int, int]
+
+# The process-wide term dictionary: id -> term and term -> id. Both only
+# grow; the lock serialises misses so that equal terms never get two ids.
+_TERMS: list[Term] = []
+_IDS: dict[Term, int] = {}
+_INTERN_LOCK = threading.Lock()
+
+
+def term_id(term: Term) -> int:
+    """The process-wide id of ``term``, assigned on first sight."""
+    found = _IDS.get(term)
+    if found is None:
+        with _INTERN_LOCK:
+            found = _IDS.get(term)
+            if found is None:
+                # Append before publishing, so whoever reads the id finds the term.
+                _TERMS.append(term)
+                found = _IDS[term] = len(_TERMS) - 1
+    return found
+
+
+def term_of(term_id: int) -> Term:
+    """The term behind a process-wide id."""
+    return _TERMS[term_id]
+
+
+def decode_keys(counts: Mapping[tuple[int, ...], int]) -> dict[tuple[Term, ...], int]:
+    """``counts`` with every key, a tuple of term ids, decoded to its terms."""
+    term = _TERMS.__getitem__
+    return {tuple(map(term, key)): n for key, n in counts.items()}
+
+
+def _triple(row: IdRow) -> Triple:
+    s, p, o = row
+    return Triple(_TERMS[s], _TERMS[p], _TERMS[o])
+
+
+def _index(rows: Sequence[IdRow], position: int) -> dict[int, list[IdRow]]:
+    index: defaultdict[int, list[IdRow]] = defaultdict(list)
+    for row in rows:
+        index[row[position]].append(row)
+    return dict(index)
 
 
 class TripleStore:
-    """Deduplicated, indexed triple set for one named source."""
+    """Deduplicated, indexed id rows for one named source."""
 
-    def __init__(self, source_name: str, triples: Iterable[Triple]):
+    def __init__(self, source_name: str, rows: Iterable[IdRow]):
         self.source_name = source_name
-        seen: dict[Triple, None] = {}
-        for t in triples:
-            seen.setdefault(t)
-        self.triples: tuple[Triple, ...] = tuple(seen)
-
-        self._by_subject: dict[Term, list[Triple]] = {}
-        self._by_predicate: dict[Term, list[Triple]] = {}
-        self._by_object: dict[Term, list[Triple]] = {}
-        pred_subjects: dict[str, set[Term]] = {}
-        pred_objects: dict[str, set[Term]] = {}
-        for t in self.triples:
-            self._by_subject.setdefault(t.subject, []).append(t)
-            self._by_predicate.setdefault(t.predicate, []).append(t)
-            self._by_object.setdefault(t.object, []).append(t)
-            pred_subjects.setdefault(t.predicate.lexical, set()).add(t.subject)
-            pred_objects.setdefault(t.predicate.lexical, set()).add(t.object)
+        self.rows: tuple[IdRow, ...] = tuple(dict.fromkeys(rows))
+        self._by_subject = _index(self.rows, 0)
+        self._by_predicate = _index(self.rows, 1)
+        self._by_object = _index(self.rows, 2)
 
         # Per-predicate stats, keyed by predicate IRI string.
-        self.predicate_triples: Mapping[str, int] = {
-            p.lexical: len(ts) for p, ts in self._by_predicate.items()
-        }
+        subject_of, object_of = itemgetter(0), itemgetter(2)
+        by_iri = {_TERMS[p].lexical: rows for p, rows in self._by_predicate.items()}
+        self.predicate_triples: Mapping[str, int] = {p: len(rows) for p, rows in by_iri.items()}
         self.predicate_distinct_subjects: Mapping[str, int] = {
-            p: len(s) for p, s in pred_subjects.items()
+            p: len(set(map(subject_of, rows))) for p, rows in by_iri.items()
         }
         self.predicate_distinct_objects: Mapping[str, int] = {
-            p: len(o) for p, o in pred_objects.items()
+            p: len(set(map(object_of, rows))) for p, rows in by_iri.items()
         }
-        self._match_memo: dict[tuple[Slot, Slot, Slot], tuple[Triple, ...]] = {}
+        self._match_memo: dict[tuple[Slot, Slot, Slot], tuple[IdRow, ...]] = {}
+
+    @property
+    def triples(self) -> tuple[Triple, ...]:
+        """The store's triples in first-seen order, decoded from its id rows."""
+        return tuple(map(_triple, self.rows))
 
     @property
     def total_triples(self) -> int:
-        return len(self.triples)
+        return len(self.rows)
 
     @property
     def distinct_subjects(self) -> int:
@@ -70,38 +130,49 @@ class TripleStore:
         return sorted(self.predicate_triples)
 
     def __len__(self) -> int:
-        return len(self.triples)
+        return len(self.rows)
 
     def __repr__(self) -> str:
-        return f"TripleStore({self.source_name!r}, {len(self.triples)} triples)"
+        return f"TripleStore({self.source_name!r}, {len(self.rows)} triples)"
 
 
 def build_store(source_name: str, triples: Iterable[Triple]) -> TripleStore:
     """Build an immutable store; duplicate triples collapse to one."""
-    return TripleStore(source_name, triples)
+    # Within one document the parser hands out one Term object per distinct
+    # IRI, so a memo by object identity (as in copy.deepcopy) spares most
+    # lookups the Term hash; a blank node or literal is a new object each
+    # time and only misses. The memo holds each term, so no id() is reused
+    # while it lives.
+    memo: dict[int, tuple[Term, int]] = {}
+
+    def intern(term: Term) -> int:
+        found = memo.get(id(term))
+        if found is None:
+            found = memo[id(term)] = (term, term_id(term))
+        return found[1]
+
+    return TripleStore(
+        source_name, [(intern(t.subject), intern(t.predicate), intern(t.object)) for t in triples]
+    )
 
 
-def _slot_matches(slot: Slot, term: Term) -> bool:
-    return isinstance(slot, Var) or slot == term
-
-
-def match(store: TripleStore, pattern: TriplePattern) -> list[Triple]:
-    """Return exactly the store triples unifying with the pattern.
+def match(store: TripleStore, pattern: TriplePattern) -> tuple[IdRow, ...]:
+    """The id rows of exactly the store triples unifying with the pattern, in store order.
 
     A variable repeated within the pattern must bind to the same term in
     every position it occupies. The result is memoised on the store by the
     pattern's slots (not its ordinal, so the same pattern in another query
-    hits the memo); every call returns a fresh list.
+    hits the memo); every call returns the memoised tuple itself.
     """
-    return list(_memoised(store, pattern))
+    return _memoised(store, pattern)
 
 
 def count(store: TripleStore, pattern: TriplePattern) -> int:
-    """Number of store triples unifying with the pattern, read off the match memo without a copy."""
+    """Number of store triples unifying with the pattern, read off the match memo."""
     return len(_memoised(store, pattern))
 
 
-def _memoised(store: TripleStore, pattern: TriplePattern) -> tuple[Triple, ...]:
+def _memoised(store: TripleStore, pattern: TriplePattern) -> tuple[IdRow, ...]:
     key = (pattern.subject, pattern.predicate, pattern.object)
     found = store._match_memo.get(key)
     if found is None:
@@ -109,40 +180,36 @@ def _memoised(store: TripleStore, pattern: TriplePattern) -> tuple[Triple, ...]:
     return found
 
 
-def _scan(store: TripleStore, pattern: TriplePattern) -> tuple[Triple, ...]:
-    candidates: Sequence[Triple]
-    if not isinstance(pattern.subject, Var):
-        candidates = store._by_subject.get(pattern.subject, ())
-    elif not isinstance(pattern.object, Var):
-        candidates = store._by_object.get(pattern.object, ())
-    elif not isinstance(pattern.predicate, Var):
-        candidates = store._by_predicate.get(pattern.predicate, ())
-    else:
-        candidates = store.triples
+def _scan(store: TripleStore, pattern: TriplePattern) -> tuple[IdRow, ...]:
+    fixed: list[tuple[int, int]] = []  # (position, id) of each bound slot
+    same: list[tuple[int, int]] = []  # (position, earlier position) of a repeated variable
+    first: dict[str, int] = {}
+    for position, slot in enumerate((pattern.subject, pattern.predicate, pattern.object)):
+        if isinstance(slot, Var):
+            earlier = first.setdefault(slot.name, position)
+            if earlier != position:
+                same.append((position, earlier))
+        else:
+            found = _IDS.get(slot)
+            if found is None:  # a term never interned occurs in no store
+                return ()
+            fixed.append((position, found))
 
-    out = []
-    for t in candidates:
-        if not (
-            _slot_matches(pattern.subject, t.subject)
-            and _slot_matches(pattern.predicate, t.predicate)
-            and _slot_matches(pattern.object, t.object)
-        ):
-            continue
-        binding: dict[str, Term] = {}
-        consistent = True
-        for slot, term in (
-            (pattern.subject, t.subject),
-            (pattern.predicate, t.predicate),
-            (pattern.object, t.object),
-        ):
-            if isinstance(slot, Var):
-                bound = binding.setdefault(slot.name, term)
-                if bound != term:
-                    consistent = False
-                    break
-        if consistent:
-            out.append(t)
-    return tuple(out)
+    if not fixed:
+        candidates: Sequence[IdRow] = store.rows
+    else:
+        indexes = (store._by_subject, store._by_predicate, store._by_object)
+        candidates = min((indexes[pos].get(value, ()) for pos, value in fixed), key=len)
+        if len(fixed) == 1:
+            fixed = []
+    if not fixed and not same:
+        return tuple(candidates)
+    return tuple(
+        row
+        for row in candidates
+        if all(row[pos] == value for pos, value in fixed)
+        and all(row[pos] == row[earlier] for pos, earlier in same)
+    )
 
 
 def load_ntriples_file(source_name: str, path: str | Path) -> TripleStore:
@@ -151,36 +218,69 @@ def load_ntriples_file(source_name: str, path: str | Path) -> TripleStore:
 
 
 def save_store(store: TripleStore, path: str | Path) -> None:
-    """Persist a store as a versioned JSON document."""
+    """Persist a store as a version-2 JSON document.
+
+    ``terms`` holds the store's term tokens in first-seen order and
+    ``triples`` the flat list of their indexes, three per triple.
+    """
+    flat = list(chain.from_iterable(store.rows))
+    local = {g: i for i, g in enumerate(dict.fromkeys(flat))}
     doc = {
         "format_version": STORE_FORMAT_VERSION,
         "source": store.source_name,
         "triple_count": store.total_triples,
-        "triples": [
-            [format_term(t.subject), format_term(t.predicate), format_term(t.object)]
-            for t in store.triples
-        ],
+        "terms": [format_term(_TERMS[g]) for g in local],
+        "triples": list(map(local.__getitem__, flat)),
     }
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
 def load_store(path: str | Path) -> TripleStore:
+    """Read a version-2 store file, checking every term token and every index.
+
+    Raises ValueError, naming the file and the bad entry, for anything
+    ``save_store`` would not have written.
+    """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     version = doc.get("format_version") if isinstance(doc, dict) else None
+    if version == 1:
+        raise ValueError(
+            f"{path} is a version 1 store file, which is no longer read; "
+            "re-run `fedcard ingest` to rewrite it"
+        )
     if version != STORE_FORMAT_VERSION:
         raise ValueError(f"unsupported store format_version {version!r} in {path}")
-    if "source" not in doc or not isinstance(doc.get("triples"), list):
-        raise ValueError(f"store file {path} lacks 'source' or a 'triples' list")
-    triples = []
-    for index, entry in enumerate(doc["triples"]):
+    source, tokens, flat = doc.get("source"), doc.get("terms"), doc.get("triples")
+    if not (isinstance(source, str) and isinstance(tokens, list) and isinstance(flat, list)):
+        raise ValueError(f"store file {path} lacks a 'source' string or a 'terms'/'triples' list")
+
+    terms = []
+    for index, token in enumerate(tokens):
         try:
-            if not isinstance(entry, list) or len(entry) != 3:
-                raise ValueError("expected a list of three term tokens")
-            triples.append(Triple(parse_term(entry[0]), parse_term(entry[1]), parse_term(entry[2])))
-        except ValueError as exc:
-            reason = exc.reason if isinstance(exc, NTriplesParseError) else exc
-            raise ValueError(f"{path}: triples[{index}]: {reason}") from None
-    return build_store(doc["source"], triples)
+            terms.append(parse_term(token))
+        except NTriplesParseError as exc:
+            raise ValueError(f"{path}: terms[{index}]: {exc.reason}") from None
+    if len(flat) % 3:
+        raise ValueError(f"{path}: 'triples' holds {len(flat)} indexes, not three per triple")
+    # type(), not isinstance(): a bool is not an index.
+    bad = next(
+        (i for i, x in enumerate(flat) if type(x) is not int or not 0 <= x < len(terms)), None
+    )
+    if bad is not None:
+        raise ValueError(f"{path}: triples[{bad}]: {flat[bad]!r} is not an index into 'terms'")
+    literals = {i for i, t in enumerate(terms) if t.kind is TermKind.LITERAL}
+    non_iris = {i for i, t in enumerate(terms) if t.kind is not TermKind.IRI}
+    for start, invalid, message in (
+        (0, literals, "literal subject is not valid RDF"),
+        (1, non_iris, "predicate must be an IRI"),
+    ):
+        if not invalid.isdisjoint(flat[start::3]):
+            index = next(i for i in range(start, len(flat), 3) if flat[i] in invalid)
+            raise ValueError(f"{path}: triples[{index}]: {message}")
+
+    ids = list(map(term_id, terms))
+    row_ids = list(map(ids.__getitem__, flat))
+    return TripleStore(source, zip(row_ids[0::3], row_ids[1::3], row_ids[2::3]))
 
 
 def load_store_dir(directory: str | Path, suffix: str = ".store") -> list[TripleStore]:

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .store import TripleStore
+from .store import TripleStore, term_of
 
 SUMMARY_FORMAT_VERSION = 1
 
@@ -217,29 +218,38 @@ def build_charsets(stores: Sequence[TripleStore]) -> CharSetSummary:
     _check_unique_sources(stores)
     sources = []
     for store in stores:
-        entity_preds: dict = {}
-        entity_occ: dict = {}
-        for t in store.triples:
-            entity_preds.setdefault(t.subject, set()).add(t.predicate.lexical)
-            occ = entity_occ.setdefault(t.subject, {})
-            occ[t.predicate.lexical] = occ.get(t.predicate.lexical, 0) + 1
+        # Entity id -> {predicate id: occurrences}, both in first-seen order.
+        entity_occ: dict[int, dict[int, int]] = {}
+        for s, p, _ in store.rows:
+            occ = entity_occ.get(s)
+            if occ is None:
+                occ = entity_occ[s] = {}
+            occ[p] = occ.get(p, 0) + 1
 
-        entity_cs = {e: frozenset(preds) for e, preds in entity_preds.items()}
+        lexical = {p: term_of(p).lexical for p in set(map(itemgetter(1), store.rows))}
+        named: dict[frozenset[int], frozenset[str]] = {}
+        entity_cs: dict[int, frozenset[str]] = {}
         charsets: dict[frozenset[str], CharSetStats] = {}
-        for e, cs in entity_cs.items():
+        for e, occ in entity_occ.items():
+            ids = frozenset(occ)
+            cs = named.get(ids)
+            if cs is None:
+                cs = named[ids] = frozenset(lexical[p] for p in ids)
+            entity_cs[e] = cs
             stats = charsets.get(cs)
             if stats is None:
                 stats = charsets[cs] = CharSetStats(0, {})
             stats.count += 1
-            for p, n in entity_occ[e].items():
-                stats.occurrences[p] = stats.occurrences.get(p, 0) + n
+            for p, n in occ.items():
+                name = lexical[p]
+                stats.occurrences[name] = stats.occurrences.get(name, 0) + n
 
         charpairs: dict[tuple[frozenset[str], frozenset[str], str], int] = {}
-        for t in store.triples:
-            target_cs = entity_cs.get(t.object)
+        for s, p, o in store.rows:
+            target_cs = entity_cs.get(o)
             if target_cs is None:
                 continue
-            key = (entity_cs[t.subject], target_cs, t.predicate.lexical)
+            key = (entity_cs[s], target_cs, lexical[p])
             charpairs[key] = charpairs.get(key, 0) + 1
 
         sources.append(SourceCharSets(store.source_name, charsets, charpairs))

@@ -1,0 +1,51 @@
+"""Reference code that only the tests call.
+
+``evaluate_expression`` expands the oracle's multiplicity map into a bag of
+binding dicts; ``lhd_multi_join_card`` is LHD's flat multi-join formula,
+the reference for its recursive ``join_card``; ``match_triples`` decodes
+the id rows of ``store.match``.
+"""
+
+from typing import Optional, Sequence
+
+from fedcard.expr import Expression, variables
+from fedcard.ntriples import Term, Triple
+from fedcard.oracle import Oracle
+from fedcard.query import JoinEdge, TriplePattern
+from fedcard.store import TripleStore, match, term_of
+
+
+def evaluate_expression(
+    expr: Expression,
+    stores: Sequence[TripleStore],
+    cap: Optional[int] = None,
+) -> list[dict[str, Term]]:
+    """Bag of bindings produced by the expression over all stores.
+
+    The expansion of the oracle's unprojected multiplicity map; leaves are
+    told apart by pattern ordinal, as in ``Oracle``.
+    """
+    names = sorted(variables(expr))
+    counts = Oracle(stores, cap).bindings(expr, frozenset(names))
+    return [dict(zip(names, row)) for row, n in counts.items() for _ in range(n)]
+
+
+def lhd_multi_join_card(
+    lhd,
+    leaves: Sequence[TriplePattern],
+    cards: Sequence[float],
+    edges: Sequence[JoinEdge],
+) -> float:
+    """LHD's flat form: product of member cardinalities times all edge selectivities."""
+    by_ordinal = {tp.ordinal: tp for tp in leaves}
+    card = 1.0
+    for c in cards:
+        card *= c
+    for edge in edges:
+        card *= lhd.edge_selectivity(edge, by_ordinal[edge.left], by_ordinal[edge.right])
+    return card
+
+
+def match_triples(store: TripleStore, pattern: TriplePattern) -> list[Triple]:
+    """The triples behind ``match(store, pattern)``, decoded, in store order."""
+    return [Triple(*map(term_of, row)) for row in match(store, pattern)]

@@ -10,17 +10,19 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from helpers import evaluate_expression, match_triples
+
 from fedcard.cli import main as cli_main
 from fedcard.estimators import make_estimator, select_sources
 from fedcard.expr import Leaf, join, patterns as expr_patterns
 from fedcard.fixtures import fig_example_query, fig_example_store
 from fedcard.metrics import bundle, clamp_positive, q_error, similarity_error
 from fedcard.ntriples import Triple, iri
-from fedcard.oracle import CardinalityTrace, Oracle, evaluate_expression
+from fedcard.oracle import CardinalityTrace, Oracle
 from fedcard.planner import PlanClass, classify_plan, greedy_left_deep_plan
 from fedcard.query import BasicGraphPattern, TriplePattern, Var, parse_query
 from fedcard.stats import irls_huber, ols, spearman
-from fedcard.store import build_store, match
+from fedcard.store import build_store
 from fedcard.summaries import build_all
 
 ENGINES = ("costfed", "splendid", "lhd", "semagrow", "odyssey")
@@ -127,7 +129,7 @@ def _nested_loop_count(expr, stores) -> int:
     for pattern in expr_patterns(expr):
         leaf_rows = []
         for store in stores:
-            for t in match(store, pattern):
+            for t in match_triples(store, pattern):
                 binding = {}
                 for (_, slot), value in zip(pattern.slots(), (t.subject, t.predicate, t.object)):
                     if isinstance(slot, Var):

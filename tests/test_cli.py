@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -238,6 +239,18 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_store_and_evaluation_imports_leave_numpy_unloaded():
+    modules = ", ".join(
+        f"fedcard.{m}" for m in ("store", "ntriples", "summaries", "oracle", "evaluation")
+    )
+    code = f"import sys, {modules}; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(fedcard.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
+
+
 def test_evaluate_deterministic(runner, workspace, tmp_path):
     args = [
         "evaluate",
@@ -380,13 +393,26 @@ def test_correlate_irls_outlier_footer(runner, tmp_path):
     assert "q5" in report_csv.read_text()
 
 
+def _write_store(stores, terms, triples):
+    doc = {"format_version": 2, "source": "A", "terms": terms, "triples": triples}
+    (stores / "A.store").write_text(json.dumps(doc))
+
+
+SPO = ["<http://x/a>", "<http://x/p>", "<http://x/o>"]
+
+
 def _break_format_version(stores):
     path = stores / "A.store"
-    path.write_text(path.read_text().replace('"format_version": 1', '"format_version": 99'))
+    path.write_text(path.read_text().replace('"format_version": 2', '"format_version": 99'))
+
+
+def _version_1_store(stores):
+    doc = {"format_version": 1, "source": "A", "triples": [SPO]}
+    (stores / "A.store").write_text(json.dumps(doc))
 
 
 def _break_json(stores):
-    (stores / "A.store").write_text('{"format_version": 1, "source": "A", "tri')
+    (stores / "A.store").write_text('{"format_version": 2, "source": "A", "ter')
 
 
 def _duplicate_source(stores):
@@ -394,24 +420,55 @@ def _duplicate_source(stores):
 
 
 def _drop_triples(stores):
-    (stores / "A.store").write_text('{"format_version": 1, "source": "A"}')
+    (stores / "A.store").write_text('{"format_version": 2, "source": "A", "terms": []}')
 
 
 def _non_string_term(stores):
-    (stores / "A.store").write_text('{"format_version": 1, "source": "A", "triples": [[1, 2, 3]]}')
+    _write_store(stores, [1, 2, 3], [0, 1, 2])
 
 
 def _short_triple(stores):
-    (stores / "A.store").write_text(
-        '{"format_version": 1, "source": "A", "triples": [["<http://x/a>", "<http://x/p>"]]}'
-    )
+    _write_store(stores, SPO, [0, 1])
 
 
 def _trailing_term_content(stores):
-    (stores / "A.store").write_text(
-        '{"format_version": 1, "source": "A", '
-        '"triples": [["<http://x/a> junk", "<http://x/p>", "<http://x/o>"]]}'
-    )
+    _write_store(stores, ["<http://x/a> junk", *SPO[1:]], [0, 1, 2])
+
+
+def _bool_index(stores):
+    _write_store(stores, SPO, [0, True, 2])
+
+
+def _float_index(stores):
+    _write_store(stores, SPO, [0, 1, 2.0])
+
+
+def _string_index(stores):
+    _write_store(stores, SPO, [0, "1", 2])
+
+
+def _null_index(stores):
+    _write_store(stores, SPO, [0, None, 2])
+
+
+def _nested_triples(stores):
+    _write_store(stores, SPO, [SPO, SPO, SPO])
+
+
+def _index_out_of_range(stores):
+    _write_store(stores, SPO, [0, 1, 3])
+
+
+def _negative_index(stores):
+    _write_store(stores, SPO, [0, 1, -1])
+
+
+def _literal_subject(stores):
+    _write_store(stores, ['"a"', *SPO[1:]], [0, 1, 2])
+
+
+def _blank_predicate(stores):
+    _write_store(stores, [SPO[0], "_:p", SPO[2]], [0, 1, 2])
 
 
 @pytest.mark.parametrize("command", ["summarize", "evaluate"])
@@ -425,6 +482,16 @@ def _trailing_term_content(stores):
         _non_string_term,
         _short_triple,
         _trailing_term_content,
+        _version_1_store,
+        _bool_index,
+        _float_index,
+        _string_index,
+        _null_index,
+        _nested_triples,
+        _index_out_of_range,
+        _negative_index,
+        _literal_subject,
+        _blank_predicate,
     ],
 )
 def test_unreadable_store_dir_is_a_data_error(runner, workspace, tmp_path, command, damage):

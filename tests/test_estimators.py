@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import TOY, tp
+from helpers import lhd_multi_join_card
 
 from fedcard.estimators import (
     CardinalityEstimator,
@@ -185,7 +186,7 @@ def test_lhd_multi_join_flat_form(engines):
     lhd = engines["lhd"]
     tps = [tp("?x", "p", "?y", 0), tp("?x", "q", "?z", 1)]
     node = join(Leaf(tps[0]), Leaf(tps[1]))
-    flat = lhd.multi_join_card(tps, [3.0, 2.0], node.edges)
+    flat = lhd_multi_join_card(lhd, tps, [3.0, 2.0], node.edges)
     recursive = lhd.join_card(Leaf(tps[0]), Leaf(tps[1]), 3.0, 2.0, node.edges)
     assert flat == pytest.approx(recursive)
 

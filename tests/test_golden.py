@@ -12,6 +12,7 @@ import pytest
 from fedcard.estimators import ENGINE_NAMES
 from fedcard.evaluation import evaluate_queries, rows_to_csv
 from fedcard.fixtures import bench_queries, bench_stores
+from fedcard.store import load_store_dir, save_store
 from fedcard.summaries import save_summary
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -19,6 +20,14 @@ GOLDEN = Path(__file__).parent / "golden"
 
 def test_bench_results_csv_matches_golden():
     rows = evaluate_queries(bench_queries(), ENGINE_NAMES, bench_stores())
+    expected = (GOLDEN / "bench_results.csv").read_text(encoding="utf-8")
+    assert rows_to_csv(rows) == expected
+
+
+def test_bench_results_through_store_files_match_golden(tmp_path):
+    for store in bench_stores():
+        save_store(store, tmp_path / f"{store.source_name}.store")
+    rows = evaluate_queries(bench_queries(), ENGINE_NAMES, load_store_dir(tmp_path))
     expected = (GOLDEN / "bench_results.csv").read_text(encoding="utf-8")
     assert rows_to_csv(rows) == expected
 

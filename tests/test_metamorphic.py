@@ -1,17 +1,21 @@
 """Metamorphic tests: an input change whose effect on the output is known.
 
-Each test evaluates the oracle on an input and on a transformed copy of it
-and checks the relation between the two results, so no expected count is
+Each test runs the system on an input and on a transformed copy of it and
+checks the relation between the two results, so no expected count is
 written down by hand.
 """
 
-from hypothesis import given, settings, strategies as st
+import tempfile
+from pathlib import Path
+
+from hypothesis import Phase, given, settings, strategies as st
 
 from fedcard.expr import Leaf, join, join_nodes, leaves
-from fedcard.ntriples import Triple, iri
+from fedcard.ntriples import Triple, blank, format_triple, iri, literal
 from fedcard.oracle import Oracle, true_tp_card
 from fedcard.query import TriplePattern, Var
-from fedcard.store import build_store
+from fedcard.store import build_store, load_ntriples_file, load_store, save_store
+from fedcard.summaries import build_all
 
 SETTINGS = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
@@ -68,3 +72,45 @@ def test_permuting_pattern_order_keeps_counts(triples, tps, data):
     assert [true_tp_card(tp, stores) for tp in renumbered] == [
         true_tp_card(tps[old], stores) for old in order
     ]
+
+
+# Term text mixing plain characters with everything N-Triples must escape,
+# Unicode line breaks, and escape sequences as literal text.
+_CHUNKS = [
+    *["\\", "\\u0041", "\\n", ">", "<", '"', " ", "\t", "\n", "\r", "\x00"],
+    *["\x85", "\u2028", "{|}^`", "é", "#", "."],
+]
+_text = st.lists(
+    st.one_of(st.sampled_from(_CHUNKS), st.characters(blacklist_categories=("Cs",))), max_size=6
+).map("".join)
+_iris = _text.filter(bool).map(iri)
+_labels = st.from_regex(r"[A-Za-z0-9_]([A-Za-z0-9_.-]{0,6}[A-Za-z0-9_-])?", fullmatch=True)
+_langtags = st.from_regex(r"[a-zA-Z]{1,8}(-[a-zA-Z0-9]{1,8}){0,2}", fullmatch=True)
+_blanks = _labels.map(blank)
+_literals = st.one_of(
+    _text.map(literal),
+    st.builds(literal, _text, datatype=_text.filter(bool)),
+    st.builds(literal, _text, langtag=_langtags),
+)
+_subjects = st.one_of(_iris, _blanks)
+# A third of each document repeats, so that ingest deduplicates.
+_documents = st.lists(
+    st.builds(Triple, _subjects, _iris, st.one_of(_iris, _blanks, _literals)), max_size=12
+).map(lambda ts: ts + ts[: len(ts) // 3])
+
+
+# Without the explain phase, which takes minutes over these documents.
+@settings(SETTINGS, phases=(Phase.explicit, Phase.generate, Phase.shrink))
+@given(triples=_documents)
+def test_ingest_save_load_keeps_triples_and_summaries(triples):
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "S.nt"
+        source.write_text("\n".join(map(format_triple, triples)) + "\n", encoding="utf-8")
+        ingested = load_ntriples_file("S", source)
+        save_store(ingested, Path(tmp) / "S.store")
+        loaded = load_store(Path(tmp) / "S.store")
+    assert ingested.triples == tuple(dict.fromkeys(triples))
+    assert loaded.triples == ingested.triples
+    before, after = build_all([ingested]), build_all([loaded])
+    for kind in ("void", "costfed", "charsets"):
+        assert getattr(after, kind).to_json_dict("S") == getattr(before, kind).to_json_dict("S")

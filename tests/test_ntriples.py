@@ -105,6 +105,10 @@ def test_format_round_trip():
         literal('a"b\\c\nd\te\rf'),
         literal("42", datatype="http://www.w3.org/2001/XMLSchema#integer"),
         literal('say "hi"\n', langtag="en-GB"),
+        iri("http://x/>"),
+        iri("http://x/a\\"),
+        iri('http://x/ <"{}|^`\t'),
+        literal("v", datatype="http://x/dt>\\"),
     ],
 )
 def test_parse_term_round_trips_format_term(term):
@@ -126,3 +130,21 @@ def test_parse_term_rejects(token, reason):
     with pytest.raises(NTriplesParseError) as err:
         parse_term(token)
     assert err.value.reason.startswith(reason)
+
+
+def test_iri_escapes_written_as_uchars():
+    assert format_term(iri("http://x/>")) == "<http://x/\\u003E>"
+    assert format_term(iri("http://x/a\\")) == "<http://x/a\\u005C>"
+    assert format_term(iri("http://x/é")) == "<http://x/é>"
+
+
+def test_unicode_line_breaks_stay_inside_terms():
+    text = '<http://x/a\u2028b> <http://x/p> "c\x85d\x0be" .\r\n<http://x/s> <http://x/p> <http://x/o> .'
+    first, second = parse_ntriples(text)
+    assert first.subject == iri("http://x/a\u2028b")
+    assert first.object == literal("c\x85d\x0be")
+    assert second.object == iri("http://x/o")
+    with pytest.raises(NTriplesParseError) as err:
+        parse_ntriples("<http://x/s> <http://x/p> <http://x/o> .\r\n\r\n<http://x/s> <http://x/p> .")
+    assert err.value.line == 3
+

@@ -6,6 +6,7 @@ from math import prod
 import pytest
 
 from conftest import tp, toy_iri
+from helpers import evaluate_expression, match_triples
 
 from fedcard.estimators import make_estimator
 from fedcard.expr import Leaf, join, join_nodes, leaves, patterns as expr_patterns, variables
@@ -14,12 +15,11 @@ from fedcard.ntriples import Triple, iri
 from fedcard.oracle import (
     Oracle,
     OracleBlowupError,
-    evaluate_expression,
     trace_plan,
     true_tp_card,
 )
 from fedcard.query import TriplePattern, Var, parse_query
-from fedcard.store import build_store, match
+from fedcard.store import build_store
 
 
 def nested_loop_rows(expr, stores) -> list[dict]:
@@ -28,7 +28,7 @@ def nested_loop_rows(expr, stores) -> list[dict]:
     for pattern in expr_patterns(expr):
         leaf_rows = []
         for store in stores:
-            for t in match(store, pattern):
+            for t in match_triples(store, pattern):
                 binding = {}
                 for (_, slot), value in zip(pattern.slots(), (t.subject, t.predicate, t.object)):
                     if isinstance(slot, Var):

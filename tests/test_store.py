@@ -1,9 +1,15 @@
+import json
 import random
+import sys
+import threading
+
+import pytest
 
 from conftest import toy_iri, tp
 
+from fedcard.fixtures import bench_stores
 from fedcard.ntriples import Triple, iri
-from fedcard.store import build_store, load_store, match, save_store
+from fedcard.store import build_store, load_store, match, save_store, term_id, term_of
 
 
 def linear_scan_count(store, pattern) -> int:
@@ -33,7 +39,7 @@ def test_toy1_counts(toy1):
 def test_empty_store():
     store = build_store("E", [])
     assert store.total_triples == 0
-    assert match(store, tp("?x", "?p", "?y")) == []
+    assert match(store, tp("?x", "?p", "?y")) == ()
 
 
 def test_dedup_on_build():
@@ -101,7 +107,7 @@ def test_index_scan_equivalence_random():
             expected = linear_scan_count(store, pattern)
             first = match(store, pattern)
             assert len(first) == expected
-            first.clear()
+            assert isinstance(first, tuple)  # callers cannot mutate the memo
             assert len(match(store, pattern)) == expected
 
 
@@ -117,3 +123,69 @@ def test_store_round_trip(tmp_path, toy1):
     loaded = load_store(path)
     assert loaded.source_name == "A"
     assert set(loaded.triples) == set(toy1.triples)
+
+
+@pytest.mark.parametrize("which", ["toy1", "bench"])
+def test_store_file_round_trip_keeps_triples_in_order(tmp_path, toy1, which):
+    stores = [toy1] if which == "toy1" else bench_stores()
+    for store in stores:
+        path = tmp_path / f"{store.source_name}.store"
+        save_store(store, path)
+        assert load_store(path).triples == store.triples
+
+
+def test_equal_terms_share_one_id_across_stores():
+    shared = Triple(iri("http://ids/s"), iri("http://ids/p"), iri("http://ids/o"))
+    other = Triple(iri("http://ids/a"), iri("http://ids/p"), iri("http://ids/b"))
+    first = build_store("S1", [other, shared])
+    # Equal but distinct objects: the id follows equality, not identity.
+    again = Triple(iri("http://ids/s"), iri("http://ids/p"), iri("http://ids/o"))
+    second = build_store("S2", [again])
+    assert first.rows[1] == second.rows[0]
+    assert first.rows[0][1] == second.rows[0][1]
+    assert [term_of(i) for i in second.rows[0]] == [again.subject, again.predicate, again.object]
+
+
+def test_concurrent_interning_gives_one_id_per_term():
+    # Names no other test interns, so first lookups take the locked miss path.
+    names = [f"http://concurrent/t{i}" for i in range(3000)]
+    start = threading.Barrier(4)
+    seen: list[dict] = [{} for _ in range(4)]
+
+    def work(k: int) -> None:
+        mine = [iri(n) for n in names[k:]]  # overlapping, in step, own objects
+        triples = [Triple(mine[i], mine[i + 1], mine[i + 2]) for i in range(len(mine) - 2)]
+        start.wait(timeout=30)
+        store = build_store(f"T{k}", triples)
+        assert store.triples == tuple(triples)
+        # The ids the store was built with, not the ones the dictionary holds now.
+        seen[k] = {
+            t.lexical: i
+            for triple, row in zip(triples, store.rows)
+            for t, i in zip((triple.subject, triple.predicate, triple.object), row)
+        }
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(seen)  # every worker finished its store
+    for name in names:
+        ids = {found[name] for found in seen if name in found}
+        assert len(ids) == 1
+        assert ids == {term_id(iri(name))}
+    assert len(set(seen[0].values())) == len(names)
+
+
+def test_version_1_store_asks_to_reingest(tmp_path):
+    path = tmp_path / "A.store"
+    path.write_text(json.dumps({"format_version": 1, "source": "A", "triples": []}))
+    with pytest.raises(ValueError, match="re-run `fedcard ingest`"):
+        load_store(path)
