@@ -39,6 +39,11 @@ class TermKind(enum.Enum):
     LITERAL = "literal"
     BLANK = "blank"
 
+    # Enum members compare by identity, so the identity hash is consistent
+    # with equality; Enum.__hash__ hashes the member name in Python code,
+    # on every Term hash.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True, slots=True)
 class Term:

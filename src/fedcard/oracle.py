@@ -4,12 +4,15 @@ Bag semantics throughout: duplicates are preserved, matching SELECT without
 DISTINCT. No intermediate binding is materialised. Each node's bag is kept
 as a multiplicity map projected onto the variables that the rest of the
 plan still reads: a distinct projected binding maps to the number of full
-bindings that share it. A join groups both sides by their shared variables
-and multiplies counts, so a cartesian product is one multiplication (the
-aggregate form of Yannakakis-style evaluation). Leaf bindings come from the
-union of all registered sources, and bindings from different sources join
-freely. A leaf counts its projected term-id rows and decodes only the
-distinct keys, so every map is keyed by ``Term`` tuples. A configurable
+bindings that share it. Every map is keyed by tuples of process-wide term
+ids, from the leaf's counted id rows to the root, so no term is decoded or
+hashed here. A join sums each side per shared-variable key and multiplies
+counts, so a cartesian product is one multiplication (the aggregate form of
+Yannakakis-style evaluation). A count-only node (one asked for no
+variables) is pure arithmetic: a leaf's total is the length of its matches,
+and a join's is ``sum(left[k] * right[k])`` over maps keyed by exactly the
+shared variables. Leaf bindings come from the union of all registered
+sources, and bindings from different sources join freely. A configurable
 cap on every node's bag size (its total count, not its map size) turns
 runaway joins into a hard error instead of a silently truncated (and
 therefore wrong) count.
@@ -20,20 +23,20 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import repeat
+from operator import itemgetter, mul
 from typing import Callable, Optional, Sequence
 
 from .estimators.base import CardinalityEstimator, PlanEstimates
 from .expr import Expression, Leaf, join_nodes, ordinals, patterns as expr_patterns, variables
-from .ntriples import Term
 from .query import TriplePattern, Var
-from .store import TripleStore, count, decode_keys, match
+from .store import TripleStore, count, match
 
 DEFAULT_ORACLE_CAP = 10_000_000
 ORACLE_CAP_ENV = "FEDCARD_ORACLE_CAP"
 
-# Projected binding, in sorted variable-name order -> its multiplicity.
-Counts = dict[tuple[Term, ...], int]
+# Projected binding as term ids, in sorted variable-name order -> its multiplicity.
+Counts = dict[tuple[int, ...], int]
 
 
 class OracleBlowupError(RuntimeError):
@@ -97,9 +100,13 @@ class Oracle:
 
     Natural joins are associative and commutative under bag semantics, so
     a node's bag depends only on the set of leaf ordinals it covers. Maps
-    are cached by that set and the projection; each node's total bag size
-    is cached by the set alone, so ``cardinality`` of a node that has been
-    evaluated under any projection is a lookup.
+    are keyed by term-id tuples and cached by that set and the projection;
+    each node's total bag size is cached by the set alone, so
+    ``cardinality`` of a node that has been evaluated under any projection
+    is a lookup. ``cardinality`` asks for no variables, so a node first
+    evaluated through it is count-only: a leaf takes its total from the
+    match lengths without counting rows, and a join multiplies its
+    children's per-key counts without building any nested map.
     """
 
     def __init__(self, stores: Sequence[TripleStore], cap: Optional[int] = None):
@@ -111,9 +118,11 @@ class Oracle:
     def bindings(self, expr: Expression, keep: frozenset[str] = frozenset()) -> Counts:
         """The bag of ``expr`` projected onto ``sorted(keep)``, with multiplicities.
 
-        ``keep`` is a subset of the expression's variables. Raises
-        OracleBlowupError, before building the map, when the bag of this
-        node or of any node below it holds more than ``cap`` bindings.
+        ``keep`` is a subset of the expression's variables; each key is the
+        tuple of the kept variables' term ids (``store.term_of`` decodes
+        them). Raises OracleBlowupError, before building the map, when the
+        bag of this node or of any node below it holds more than ``cap``
+        bindings.
         """
         node = ordinals(expr)
         cached = self._maps.get((node, keep))
@@ -123,19 +132,22 @@ class Oracle:
         names = sorted(keep)
         if isinstance(expr, Leaf):
             tp = expr.pattern
-            position_of: dict[str, int] = {}  # variable -> the first triple position it occupies
-            for position, slot in enumerate((tp.subject, tp.predicate, tp.object)):
-                if isinstance(slot, Var):
-                    position_of.setdefault(slot.name, position)
             parts = [match(store, tp) for store in self.stores]
             total = sum(map(len, parts))
             if total > self.cap:
                 raise OracleBlowupError(total, self.cap)
-            project = _projector([position_of[v] for v in names])
-            ids: Counter = Counter()
-            for rows in parts:
-                ids.update(map(project, rows))
-            result = decode_keys(ids)
+            if keep:
+                position_of: dict[str, int] = {}  # variable -> the first triple position it occupies
+                for position, slot in enumerate((tp.subject, tp.predicate, tp.object)):
+                    if isinstance(slot, Var):
+                        position_of.setdefault(slot.name, position)
+                getters = [itemgetter(position_of[v]) for v in names]
+                result: Counts = Counter()
+                for rows in parts:
+                    # zip builds each key tuple without a Python-level call per row.
+                    result.update(zip(*(map(get, rows) for get in getters)))
+            else:
+                result = {(): total} if total else {}
         else:
             lvars, rvars = variables(expr.left), variables(expr.right)
             lnames = sorted(lvars & (keep | rvars))
@@ -144,30 +156,59 @@ class Oracle:
             right = self.bindings(expr.right, frozenset(rnames))
 
             shared = sorted(lvars & rvars)
-            lout = [v for v in names if v in lvars]
-            rout = [v for v in names if v not in lvars]
-            lgroups = _group(
-                left,
-                _projector([lnames.index(v) for v in shared]),
-                _projector([lnames.index(v) for v in lout]),
-            )
-            rgroups = _group(
-                right,
-                _projector([rnames.index(v) for v in shared]),
-                _projector([rnames.index(v) for v in rout]),
-            )
-            matched = [(lg, rg) for k, lg in lgroups.items() if (rg := rgroups.get(k)) is not None]
-            total = sum(sum(lg.values()) * sum(rg.values()) for lg, rg in matched)
-            if total > self.cap:
-                raise OracleBlowupError(total, self.cap)
+            if not keep:
+                # Both sides are keyed by exactly the shared variables, so the
+                # total is a sum of products over their keys, with no per-row
+                # loop as in the one-sided branch below.
+                if len(right) < len(left):
+                    left, right = right, left
+                total = sum(map(mul, left.values(), map(right.get, left, repeat(0))))
+                if total > self.cap:
+                    raise OracleBlowupError(total, self.cap)
+                result = {(): total} if total else {}
+            elif keep <= lvars or keep <= rvars:
+                # One side adds no output variable, so it was asked for exactly
+                # the shared variables: its map is already the flat per-key sum
+                # that scales the other side's rows, which carry every kept variable.
+                if not keep <= lvars:
+                    left, lnames, right = right, rnames, left
+                key_of = _projector([lnames.index(v) for v in shared])
+                scaled = [(row, n * m) for row, n in left.items() if (m := right.get(key_of(row)))]
+                total = sum(n for _, n in scaled)
+                if total > self.cap:
+                    raise OracleBlowupError(total, self.cap)
+                out = _projector([lnames.index(v) for v in names])
+                result = {}
+                for row, n in scaled:
+                    key = out(row)
+                    result[key] = result.get(key, 0) + n
+            else:
+                lout = [v for v in names if v in lvars]
+                rout = [v for v in names if v not in lvars]
+                lgroups = _group(
+                    left,
+                    _projector([lnames.index(v) for v in shared]),
+                    _projector([lnames.index(v) for v in lout]),
+                )
+                rgroups = _group(
+                    right,
+                    _projector([rnames.index(v) for v in shared]),
+                    _projector([rnames.index(v) for v in rout]),
+                )
+                matched = [
+                    (lg, rg) for k, lg in lgroups.items() if (rg := rgroups.get(k)) is not None
+                ]
+                total = sum(sum(lg.values()) * sum(rg.values()) for lg, rg in matched)
+                if total > self.cap:
+                    raise OracleBlowupError(total, self.cap)
 
-            arrange = _projector([(lout + rout).index(v) for v in names])
-            result = {}
-            for lg, rg in matched:
-                for lpart, ln in lg.items():
-                    for rpart, rn in rg.items():
-                        key = arrange(lpart + rpart)
-                        result[key] = result.get(key, 0) + ln * rn
+                arrange = _projector([(lout + rout).index(v) for v in names])
+                result = {}
+                for lg, rg in matched:
+                    for lpart, ln in lg.items():
+                        for rpart, rn in rg.items():
+                            key = arrange(lpart + rpart)
+                            result[key] = result.get(key, 0) + ln * rn
         self._totals[node] = total
         self._maps[(node, keep)] = result
         return result

@@ -68,12 +68,6 @@ def term_of(term_id: int) -> Term:
     return _TERMS[term_id]
 
 
-def decode_keys(counts: Mapping[tuple[int, ...], int]) -> dict[tuple[Term, ...], int]:
-    """``counts`` with every key, a tuple of term ids, decoded to its terms."""
-    term = _TERMS.__getitem__
-    return {tuple(map(term, key)): n for key, n in counts.items()}
-
-
 def _triple(row: IdRow) -> Triple:
     s, p, o = row
     return Triple(_TERMS[s], _TERMS[p], _TERMS[o])

@@ -1,12 +1,13 @@
 """Reference code that only the tests call.
 
 ``evaluate_expression`` expands the oracle's multiplicity map into a bag of
-binding dicts; ``lhd_multi_join_card`` is LHD's flat multi-join formula,
-the reference for its recursive ``join_card``; ``match_triples`` decodes
-the id rows of ``store.match``.
+binding dicts; ``decode_keys`` decodes the term-id keys of such a map;
+``lhd_multi_join_card`` is LHD's flat multi-join formula, the reference for
+its recursive ``join_card``; ``match_triples`` decodes the id rows of
+``store.match``.
 """
 
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from fedcard.expr import Expression, variables
 from fedcard.ntriples import Term, Triple
@@ -26,8 +27,13 @@ def evaluate_expression(
     told apart by pattern ordinal, as in ``Oracle``.
     """
     names = sorted(variables(expr))
-    counts = Oracle(stores, cap).bindings(expr, frozenset(names))
+    counts = decode_keys(Oracle(stores, cap).bindings(expr, frozenset(names)))
     return [dict(zip(names, row)) for row, n in counts.items() for _ in range(n)]
+
+
+def decode_keys(counts: Mapping[tuple[int, ...], int]) -> dict[tuple[Term, ...], int]:
+    """``counts`` with every key, a tuple of term ids, decoded to its terms."""
+    return {tuple(map(term_of, key)): n for key, n in counts.items()}
 
 
 def lhd_multi_join_card(

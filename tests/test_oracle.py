@@ -1,12 +1,13 @@
 import random
 import tracemalloc
 from collections import Counter
+from itertools import combinations
 from math import prod
 
 import pytest
 
 from conftest import tp, toy_iri
-from helpers import evaluate_expression, match_triples
+from helpers import decode_keys, evaluate_expression, match_triples
 
 from fedcard.estimators import make_estimator
 from fedcard.expr import Leaf, join, join_nodes, leaves, patterns as expr_patterns, variables
@@ -275,8 +276,73 @@ def test_shared_oracle_counts_match_nested_loop_random():
             names = sorted(variables(expr))
             keep = frozenset(rng.sample(names, rng.randrange(len(names) + 1)))
             projected = Counter(tuple(row[v] for v in sorted(keep)) for row in rows)
-            assert oracle.bindings(expr, keep) == projected
+            assert decode_keys(oracle.bindings(expr, keep)) == projected
     assert repeated and bushy
+
+
+def _plan_nodes(rng, tps):
+    """Every node of a random left-deep and a random bushy plan, plus the left-deep candidate joins."""
+    left_deep = Leaf(tps[0])
+    for pattern in rng.sample(tps[1:], len(tps) - 1):
+        left_deep = join(left_deep, Leaf(pattern))
+    plans = [left_deep, _random_tree(rng, tps)]
+    return [node for p in plans for node in [*leaves(p), *join_nodes(p)]] + _candidate_joins(left_deep)
+
+
+def _projections(expr):
+    names = sorted(variables(expr))
+    return [frozenset(c) for r in range(len(names) + 1) for c in combinations(names, r)]
+
+
+def _random_cases(seed, cases=40):
+    """(stores, plan nodes) per random case; asserts the cases reach the nested join path."""
+    rng = random.Random(seed)
+    nested = multi_shared = 0
+    for _ in range(cases):
+        stores, tps = _random_case(rng)
+        nodes = _plan_nodes(rng, tps)
+        for expr in nodes:
+            if not isinstance(expr, Leaf):
+                lvars, rvars = variables(expr.left), variables(expr.right)
+                nested += not (lvars <= rvars or rvars <= lvars)  # each side can add a variable
+                multi_shared += len(lvars & rvars) > 1
+        yield stores, nodes
+    assert nested and multi_shared
+
+
+def test_fresh_oracle_totals_agree_for_every_projection():
+    # A fresh oracle per call, so count-only and grouped nodes never share a cache.
+    for stores, nodes in _random_cases(23):
+        for expr in nodes:
+            expected = nested_loop_count(expr, stores)
+            assert Oracle(stores).cardinality(expr) == expected
+            for keep in _projections(expr):
+                assert sum(Oracle(stores).bindings(expr, keep).values()) == expected
+
+
+def test_maps_are_keyed_by_term_ids():
+    for stores, nodes in _random_cases(29):
+        for expr in nodes:
+            rows = nested_loop_rows(expr, stores)
+            for keep in _projections(expr):
+                counts = Oracle(stores).bindings(expr, keep)
+                for key in counts:
+                    assert type(key) is tuple and len(key) == len(keep)
+                    assert all(type(term) is int for term in key)
+                projected = Counter(tuple(row[v] for v in sorted(keep)) for row in rows)
+                assert decode_keys(counts) == projected
+
+
+def test_count_first_and_projected_first_agree():
+    rng = random.Random(31)
+    for stores, nodes in _random_cases(37):
+        asks = [(expr, keep) for expr in nodes for keep in _projections(expr)]
+        count_first, projected_first = Oracle(stores), Oracle(stores)
+        for expr, keep in rng.sample(asks, len(asks)):
+            total = count_first.cardinality(expr)
+            counts = count_first.bindings(expr, keep)
+            assert projected_first.bindings(expr, keep) == counts
+            assert projected_first.cardinality(expr) == total == sum(counts.values())
 
 
 def _fanout_store():
@@ -301,6 +367,13 @@ def test_cap_boundary(expr, total):
     with pytest.raises(OracleBlowupError) as err:
         Oracle([store], cap=total - 1).cardinality(expr)
     assert (err.value.size, err.value.cap) == (total, total - 1)
+    # On a join, keeping nothing counts only, keeping ?x leaves one side
+    # adding no output variable, and keeping every variable groups both sides.
+    for keep in (frozenset(), frozenset({"x"}), frozenset(variables(expr))):
+        assert sum(Oracle([store], cap=total).bindings(expr, keep).values()) == total
+        with pytest.raises(OracleBlowupError) as err:
+            Oracle([store], cap=total - 1).bindings(expr, keep)
+        assert (err.value.size, err.value.cap) == (total, total - 1)
 
 
 def test_cartesian_query_counts_without_materialising():
