@@ -21,11 +21,14 @@ from .semagrow import SemaGrowEstimator
 from .splendid import SplendidEstimator
 
 _ESTIMATOR_CLASSES = {
-    Engine.COSTFED: CostFedEstimator,
-    Engine.SPLENDID: SplendidEstimator,
-    Engine.LHD: LhdEstimator,
-    Engine.SEMAGROW: SemaGrowEstimator,
-    Engine.ODYSSEY: OdysseyEstimator,
+    cls.engine: cls
+    for cls in (
+        CostFedEstimator,
+        SplendidEstimator,
+        LhdEstimator,
+        SemaGrowEstimator,
+        OdysseyEstimator,
+    )
 }
 
 

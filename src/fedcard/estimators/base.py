@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..expr import Expression, Join, Leaf
 from ..query import JoinEdge, TriplePattern, Var
@@ -36,36 +36,40 @@ def select_sources(tp: TriplePattern, stores: Sequence[TripleStore]) -> frozense
 def void_leaf_card(tp: TriplePattern, src: SourceVoid) -> float:
     """Triple-pattern estimate within one source from its VoID counts.
 
-    Reciprocal-of-distinct-count selectivities per bound slot; SPLENDID's
-    case table, also CostFed's leaf formula.
+    Reciprocal-of-distinct-count selectivities per bound slot, read from
+    the predicate's record when the predicate is bound and from the
+    source's otherwise; SPLENDID's case table, also CostFed's leaf formula.
     """
-    bound_s = not isinstance(tp.subject, Var)
-    bound_o = not isinstance(tp.object, Var)
-
-    if not isinstance(tp.predicate, Var):
+    if isinstance(tp.predicate, Var):
+        stats = src
+    else:
         stats = src.predicates.get(tp.predicate.lexical)
         if stats is None:
             return 0.0
-        if bound_s and bound_o:
-            # Fully bound patterns reuse the (s,?,o) estimate; the case
-            # table has no own entry for them.
-            denom = src.distinct_subjects * src.distinct_objects
-            return src.triples / denom if denom else 0.0
-        if bound_s:
-            return stats.triples / stats.distinct_subjects
-        if bound_o:
-            return stats.triples / stats.distinct_objects
-        return float(stats.triples)
-
-    if not src.triples:
+    if not stats.triples:
         return 0.0
+    bound_s = not isinstance(tp.subject, Var)
+    bound_o = not isinstance(tp.object, Var)
     if bound_s and bound_o:
+        # Fully bound patterns reuse the source's (s,?,o) estimate; the case
+        # table has no own entry for them.
         return src.triples / (src.distinct_subjects * src.distinct_objects)
     if bound_s:
-        return src.triples / src.distinct_subjects
+        return stats.triples / stats.distinct_subjects
     if bound_o:
-        return src.triples / src.distinct_objects
-    return float(src.triples)
+        return stats.triples / stats.distinct_objects
+    return float(stats.triples)
+
+
+def join_positions(ordinal: int, edges: Iterable[JoinEdge]) -> list[str]:
+    """Positions (s, p or o) at which the pattern ``ordinal`` meets ``edges``, one per edge."""
+    positions = []
+    for edge in edges:
+        if edge.left == ordinal:
+            positions.append(edge.left_pos)
+        elif edge.right == ordinal:
+            positions.append(edge.right_pos)
+    return positions
 
 
 def _checked(value: float) -> float:
@@ -136,7 +140,7 @@ class CardinalityEstimator:
 
     # -- per-engine hooks ------------------------------------------------
 
-    def tp_card(self, tp: TriplePattern, sources: Optional[frozenset[str]] = None) -> float:
+    def tp_card(self, tp: TriplePattern) -> float:
         raise NotImplementedError
 
     def join_card(

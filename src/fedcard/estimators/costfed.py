@@ -10,11 +10,10 @@ factor M applies to leaf operands only and defaults to 1.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
 
 from ..expr import Expression, Leaf
 from ..query import JoinEdge, TriplePattern, Var
-from .base import CardinalityEstimator, Engine, void_leaf_card
+from .base import CardinalityEstimator, Engine, join_positions, void_leaf_card
 
 SQRT1_2 = 1.0 / math.sqrt(2.0)
 
@@ -22,9 +21,8 @@ SQRT1_2 = 1.0 / math.sqrt(2.0)
 class CostFedEstimator(CardinalityEstimator):
     engine = Engine.COSTFED
 
-    def tp_card(self, tp: TriplePattern, sources: Optional[frozenset[str]] = None) -> float:
-        if sources is None:
-            sources = self.sources_for(tp)
+    def tp_card(self, tp: TriplePattern) -> float:
+        sources = self.sources_for(tp)
         if not sources:
             return 0.0
         if not tp.variables():
@@ -49,7 +47,7 @@ class CostFedEstimator(CardinalityEstimator):
         if bound_s or bound_o:
             return 1.0
 
-        positions = _join_positions(tp.ordinal, edges)
+        positions = join_positions(tp.ordinal, edges)
         for position in ("s", "o"):
             if position in positions:
                 dist = self.distinct_values(self.sources_for(tp), predicate, position)
@@ -68,12 +66,3 @@ class CostFedEstimator(CardinalityEstimator):
         m_right = self.multivalued_factor(right, right_card, edges)
         return m_left * m_right * min(left_card, right_card)
 
-
-def _join_positions(ordinal: int, edges: Sequence[JoinEdge]) -> set[str]:
-    positions = set()
-    for edge in edges:
-        if edge.left == ordinal:
-            positions.add(edge.left_pos)
-        if edge.right == ordinal:
-            positions.add(edge.right_pos)
-    return positions

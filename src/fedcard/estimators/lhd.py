@@ -36,10 +36,9 @@ def _triples_per_value(
 class LhdEstimator(CardinalityEstimator):
     engine = Engine.LHD
 
-    def tp_card(self, tp: TriplePattern, sources: Optional[frozenset[str]] = None) -> float:
+    def tp_card(self, tp: TriplePattern) -> float:
         """Also SemaGrow's leaf estimate, which adopts LHD's formulas."""
-        if sources is None:
-            sources = self.sources_for(tp)
+        sources = self.sources_for(tp)
         void = self.summaries.void
         srcs = [void.source(name) for name in sources]
         total = sum(src.triples for src in srcs)

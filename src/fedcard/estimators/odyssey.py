@@ -152,26 +152,19 @@ class OdysseyEstimator(CardinalityEstimator):
 
     # -- plan-node estimation ----------------------------------------------
 
-    def tp_card(self, tp: TriplePattern, sources: Optional[frozenset[str]] = None) -> float:
-        card, _ = self._tp_card_flagged(tp, sources)
+    def tp_card(self, tp: TriplePattern) -> float:
+        card, _ = self._leaf_card_flagged(tp)
         return card
 
-    def _tp_card_flagged(
-        self, tp: TriplePattern, sources: Optional[frozenset[str]] = None
-    ) -> tuple[float, bool]:
+    def _leaf_card_flagged(self, tp: TriplePattern) -> tuple[float, bool]:
         predicate = tp.bound_predicate()
         if (
             predicate is not None
             and isinstance(tp.subject, Var)
             and isinstance(tp.object, Var)
         ):
-            if sources is None:
-                sources = self.sources_for(tp)
-            return self.star_card([predicate], sources=sources), False
-        return self._fallback.tp_card(tp, sources), True
-
-    def _leaf_card_flagged(self, tp: TriplePattern) -> tuple[float, bool]:
-        return self._tp_card_flagged(tp)
+            return self.star_card([predicate], sources=self.sources_for(tp)), False
+        return self._fallback.tp_card(tp), True
 
     def _join_card_flagged(
         self, node: Join, left_card: float, right_card: float

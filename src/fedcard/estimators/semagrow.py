@@ -17,7 +17,7 @@ from typing import Sequence
 
 from ..expr import Expression, Leaf, internal_edges
 from ..query import JoinEdge, TriplePattern
-from .base import CardinalityEstimator, Engine
+from .base import CardinalityEstimator, Engine, join_positions
 from .lhd import LhdEstimator
 
 
@@ -31,13 +31,7 @@ class SemaGrowEstimator(CardinalityEstimator):
         A zero distinct count contributes 1 (guard).
         """
         candidates = [1.0]
-        for edge in edges:
-            if edge.left == tp.ordinal:
-                position = edge.left_pos
-            elif edge.right == tp.ordinal:
-                position = edge.right_pos
-            else:
-                continue
+        for position in join_positions(tp.ordinal, edges):
             candidates.append(self.position_selectivity(tp, position))
         return min(candidates)
 

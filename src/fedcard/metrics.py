@@ -111,12 +111,12 @@ def bundle(trace: CardinalityTrace) -> MetricBundle:
         e_join = 0.0
         no_joins = True
 
-    plan_real = tuple(trace.tp_real) + tuple(trace.join_real)
-    plan_est = tuple(trace.tp_est) + tuple(trace.join_est)
-    plan_real_c, _ = clamp_positive(plan_real)
-    plan_est_c, _ = clamp_positive(plan_est)
-    q_plan = q_error(plan_real_c, plan_est_c)
-    e_plan = similarity_error(plan_real, plan_est)
+    # The plan vector is the two vectors end to end, so its worst ratio is
+    # the worse of theirs (q_join is 1 without joins).
+    q_plan = max(q_tp, q_join)
+    e_plan = similarity_error(
+        tuple(trace.tp_real) + tuple(trace.join_real), tuple(trace.tp_est) + tuple(trace.join_est)
+    )
 
     return MetricBundle(
         query_id=trace.query_id,

@@ -4,7 +4,8 @@ The parser accepts the W3C N-Triples grammar (IRIs, typed/tagged literals,
 blank nodes, ``#`` comments) and reports syntax errors with 1-based line
 numbers. Duplicates are preserved in document order; deduplication happens
 when a store is built. ``parse_term`` reads a single term token with the
-same scanner; it is the one term reader of store files and queries.
+same scanner, and ``scan_term`` one token inside a line; together they are
+the one term reader of store files and queries.
 ``format_term`` writes tokens that ``parse_term`` reads back to an equal
 term, escaping in IRIs every character N-Triples forbids there.
 """
@@ -29,6 +30,8 @@ _ESCAPES = {
 _UNESCAPES = {v: "\\" + k for k, v in _ESCAPES.items() if k not in ("'",)}
 # Characters an N-Triples IRIREF may not hold raw; written as UCHARs.
 _IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
+# The same set less the backslash, which starts an escape in a token.
+_IRI_RAW_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`]')
 # N-Triples ends a line at CR or LF only; str.splitlines would also split
 # inside a term at U+2028, U+0085 and the other Unicode line breaks.
 _EOL = re.compile(r"\r\n|\r|\n")
@@ -208,6 +211,9 @@ class _LineScanner:
         self.pos = end + 1
         term = self.iris.get(raw)
         if term is None:
+            bad = _IRI_RAW_FORBIDDEN.search(raw)
+            if bad:
+                raise self.error(f"character {bad.group()!r} not allowed in IRI")
             value = _unescape(raw, self.line)
             if not value:
                 raise self.error("empty IRI")
@@ -297,11 +303,21 @@ def parse_term(token: str) -> Term:
     """
     if not isinstance(token, str):
         raise NTriplesParseError(1, f"term token must be a string, got {token!r}")
-    scanner = _LineScanner(token, 1, {})
-    term = scanner.term("RDF")
-    if scanner.pos != len(token):
-        raise scanner.error(f"trailing content {scanner.rest()!r}")
+    term, end = scan_term(token, 0)
+    if end != len(token):
+        raise NTriplesParseError(1, f"trailing content {token[end:]!r}")
     return term
+
+
+def scan_term(line: str, pos: int, lineno: int = 1) -> tuple[Term, int]:
+    """Read the term token that starts at ``pos`` of one line of text.
+
+    Returns the term and the offset just past its token; raises
+    NTriplesParseError, numbered ``lineno``, for a malformed token.
+    """
+    scanner = _LineScanner(line, lineno, {})
+    scanner.pos = pos
+    return scanner.term("RDF"), scanner.pos
 
 
 def parse_ntriples(text: str) -> list[Triple]:

@@ -6,7 +6,8 @@ Supported grammar::
 
 with IRIs in angle brackets, literals quoted (optionally typed or
 language-tagged), and variables written ``?name``. IRIs and literals
-follow N-Triples term syntax and are read by ``ntriples.parse_term``.
+follow N-Triples term syntax and are read, within their line, by the
+N-Triples term scanner (``ntriples.scan_term``).
 OPTIONAL / FILTER / UNION and friends are rejected with an "unsupported
 clause" error.
 """
@@ -15,10 +16,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
-from .ntriples import NTriplesParseError, Term, TermKind, parse_term
+from .ntriples import NTriplesParseError, Term, TermKind, scan_term
 
 _UNSUPPORTED_CLAUSES = (
     "OPTIONAL",
@@ -125,8 +126,6 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<comment>\#[^\n]*)
-  | (?P<iri><[^<>"{}|^`\\\s]*>)
-  | (?P<literal>"(?:[^"\\]|\\.)*"(?:\^\^<[^<>\s]*>|@[A-Za-z0-9-]+)?)
   | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
   | (?P<number>\d[\w.]*)
   | (?P<punct>[{}().;,:*])
@@ -136,12 +135,16 @@ _TOKEN_RE = re.compile(
 )
 
 
+_LINE_END = re.compile(r"[\r\n]")
+
+
 @dataclass(frozen=True, slots=True)
 class _Token:
     kind: str
     text: str
     line: int
     column: int
+    term: Term | None = None
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -150,6 +153,20 @@ def _tokenize(text: str) -> list[_Token]:
     line_start = 0
     pos = 0
     while pos < len(text):
+        if text[pos] in '<"':
+            # IRIs and literals are read by the N-Triples term scanner, within
+            # their line, so that queries and data share one term grammar.
+            column = pos - line_start + 1
+            eol = _LINE_END.search(text, pos)
+            line_text = text[line_start : eol.start() if eol else len(text)]
+            try:
+                term, end = scan_term(line_text, pos - line_start, line)
+            except NTriplesParseError as exc:
+                raise QueryParseError(line, column, exc.reason) from None
+            end += line_start
+            tokens.append(_Token("term", text[pos:end], line, column, term))
+            pos = end
+            continue
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             col = pos - line_start + 1
@@ -248,17 +265,14 @@ class _QueryParser:
 
         if not patterns:
             raise QueryParseError(1, 1, "query has no triple patterns")
-        all_vars: set[str] = set()
-        for tp in patterns:
-            all_vars |= tp.variables()
+        bgp = BasicGraphPattern(tuple(patterns), tuple(projection_vars))
+        all_vars = bgp.variables()
         if star:
-            projection = tuple(sorted(all_vars))
-        else:
-            missing = [v for v in projection_vars if v not in all_vars]
-            if missing:
-                raise QueryParseError(1, 1, f"projection variable ?{missing[0]} not used in any pattern")
-            projection = tuple(projection_vars)
-        return BasicGraphPattern(tuple(patterns), projection)
+            return replace(bgp, projection=tuple(sorted(all_vars)))
+        missing = [v for v in projection_vars if v not in all_vars]
+        if missing:
+            raise QueryParseError(1, 1, f"projection variable ?{missing[0]} not used in any pattern")
+        return bgp
 
     def _triple_pattern(self, ordinal: int) -> TriplePattern:
         subject = self._slot("subject")
@@ -276,11 +290,8 @@ class _QueryParser:
         tok = self._next(f"expected {role} term")
         if tok.kind == "var":
             return Var(tok.text[1:])
-        if tok.kind in ("iri", "literal"):
-            try:
-                return parse_term(tok.text)
-            except NTriplesParseError as exc:
-                raise QueryParseError(tok.line, tok.column, exc.reason) from None
+        if tok.term is not None:
+            return tok.term
         self._check_unsupported(tok)
         raise QueryParseError(tok.line, tok.column, f"expected {role} term, found {tok.text!r}")
 

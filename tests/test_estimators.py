@@ -105,28 +105,6 @@ def test_splendid_tp_cases(engines):
     assert sp.tp_card(tp("s1", "p", "o1")) == pytest.approx(5 / 9)
 
 
-def test_splendid_star_with_bound_object(engines):
-    sp = engines["splendid"]
-    star = [tp("?s", "p", "o1", 0), tp("?s", "q", "?o", 1)]
-    assert sp.star_card(star) == pytest.approx(1.0)
-
-
-def test_splendid_star_all_unbound(engines):
-    sp = engines["splendid"]
-    star = [tp("?s", "p", "?a", 0), tp("?s", "q", "?b", 1)]
-    assert sp.star_card(star) == pytest.approx(2 / 3)
-
-
-def test_splendid_star_preconditions(engines):
-    sp = engines["splendid"]
-    with pytest.raises(ValueError):
-        sp.star_card([tp("?s", "p", "o1", 0)])
-    with pytest.raises(ValueError):
-        sp.star_card([tp("?s", "p", "?a", 0), tp("?t", "q", "?b", 1)])
-    with pytest.raises(ValueError):
-        sp.star_card([tp("?s", "?p", "?a", 0), tp("?s", "q", "?b", 1)])
-
-
 def test_splendid_join(engines):
     sp = engines["splendid"]
     e0, e1 = Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1))

@@ -10,8 +10,10 @@ from pathlib import Path
 
 from hypothesis import Phase, given, settings, strategies as st
 
+from fedcard.estimators import ENGINE_NAMES
+from fedcard.evaluation import STATUS_FAILED, evaluate_queries
 from fedcard.expr import Leaf, join, join_nodes, leaves
-from fedcard.ntriples import Triple, blank, format_triple, iri, literal
+from fedcard.ntriples import Triple, blank, format_term, format_triple, iri, literal
 from fedcard.oracle import Oracle, true_tp_card
 from fedcard.query import TriplePattern, Var
 from fedcard.store import build_store, load_ntriples_file, load_store, save_store
@@ -114,3 +116,51 @@ def test_ingest_save_load_keeps_triples_and_summaries(triples):
     before, after = build_all([ingested]), build_all([loaded])
     for kind in ("void", "costfed", "charsets"):
         assert getattr(after, kind).to_json_dict("S") == getattr(before, kind).to_json_dict("S")
+
+
+# Characters that format_term escapes in IRIs, and one it writes raw.
+_IRI_SPECIALS = (">", " ", "\\", "é")
+# Every IRI that ``triples`` and ``patterns`` draw.
+_VOCABULARY = [iri(f"http://m/n{i}") for i in range(5)] + [iri(f"http://m/p{i}") for i in range(3)]
+
+
+def _results(triples, queries) -> list[list[str]]:
+    """Results rows of every engine; the sources are written and ingested as N-Triples."""
+    with tempfile.TemporaryDirectory() as tmp:
+        stores = []
+        for name, source in (("S1", triples[::2]), ("S2", triples[1::2])):
+            path = Path(tmp) / f"{name}.nt"
+            path.write_text("".join(format_triple(t) + "\n" for t in source), encoding="utf-8")
+            stores.append(load_ntriples_file(name, path))
+
+    def slot(value):
+        return f"?{value.name}" if isinstance(value, Var) else format_term(value)
+
+    texts = {
+        f"q{i}": "SELECT * WHERE { %s }"
+        % " . ".join(" ".join(slot(v) for v in (tp.subject, tp.predicate, tp.object)) for tp in tps)
+        for i, tps in enumerate(queries)
+    }
+    return [row.csv_fields() for row in evaluate_queries(texts, ENGINE_NAMES, stores)]
+
+
+@SETTINGS
+@given(triples=triples, queries=st.lists(patterns, min_size=1, max_size=3), prefix=_text)
+def test_renaming_iris_keeps_every_result_row(triples, queries, prefix):
+    # An injective renaming: the trailing index tells the new IRIs apart.
+    renamed = {
+        old: iri(f"{prefix}{_IRI_SPECIALS[i % len(_IRI_SPECIALS)]}{i}")
+        for i, old in enumerate(_VOCABULARY)
+    }
+
+    def rename(value):
+        return renamed.get(value, value)
+
+    renamed_triples = [Triple(rename(t.subject), rename(t.predicate), rename(t.object)) for t in triples]
+    renamed_queries = [
+        [TriplePattern(rename(tp.subject), rename(tp.predicate), rename(tp.object)) for tp in tps]
+        for tps in queries
+    ]
+    before = _results(triples, queries)
+    assert all(fields[-1] != STATUS_FAILED for fields in before)
+    assert _results(renamed_triples, renamed_queries) == before

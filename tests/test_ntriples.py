@@ -148,3 +148,14 @@ def test_unicode_line_breaks_stay_inside_terms():
         parse_ntriples("<http://x/s> <http://x/p> <http://x/o> .\r\n\r\n<http://x/s> <http://x/p> .")
     assert err.value.line == 3
 
+
+
+@pytest.mark.parametrize(
+    "token", ["<http://x y>", "<http://x/p", "<http://o{}>", '<http://x/"a">', "<http://x/\x01>"]
+)
+def test_raw_forbidden_iri_characters_rejected(token):
+    text = f"<http://x/s> <http://x/p> <http://x/o> .\n{token} <http://x/p> <http://x/o> ."
+    with pytest.raises(NTriplesParseError) as err:
+        parse_ntriples(text)
+    assert err.value.line == 2
+    assert err.value.reason.endswith("not allowed in IRI")

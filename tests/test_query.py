@@ -138,3 +138,26 @@ def test_edge_symmetry_under_reordering():
     other = join_edges(parse_query(reordered))
     assert {(e.variable, e.kind) for e in base} == {(e.variable, e.kind) for e in other}
     assert len(base) == len(other)
+
+
+def test_escaped_iris_read_like_data_terms():
+    bgp = parse_query("SELECT * WHERE { ?s <http://x/a\\u0041> ?o }")
+    assert bgp.patterns[0].predicate == iri("http://x/aA")
+    bgp = parse_query("SELECT * WHERE { ?s <http://x/p> <http://x/\\u003E\\u0020\\u005C> }")
+    assert bgp.patterns[0].object == iri("http://x/> \\")
+
+
+
+@pytest.mark.parametrize(
+    "text, column, bad",
+    [
+        ("SELECT * WHERE { ?s <http://x/p ?o . ?o <http://q> ?z }", 21, " "),
+        ("SELECT * WHERE { ?s <http://x y> ?o }", 21, " "),
+        ("SELECT * WHERE { ?s <http://x/p> <http://x/{o}> }", 34, "{"),
+    ],
+)
+def test_raw_forbidden_iri_characters_rejected_at_the_token(text, column, bad):
+    with pytest.raises(QueryParseError) as err:
+        parse_query(text)
+    assert (err.value.line, err.value.column) == (1, column)
+    assert err.value.reason == f"character {bad!r} not allowed in IRI"
