@@ -1,14 +1,18 @@
-"""Byte-for-byte pins of the results CSV and of the summary files.
+"""Byte-for-byte pins of the results CSV, the correlate reports and the summary files.
 
 The golden files were written by the code that defined these outputs; a
 refactor that changes a single byte of any of them fails here. Nothing
 reads summary files back, so these pins are what holds their format.
+``bench_runtimes.csv`` is the benchmark's synthetic runtimes for the bench
+queries (``bench/gen.py``: ``runtimes_csv(bench_queries(20240, 50), 20240)``).
 """
 
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from fedcard.cli import main
 from fedcard.estimators import ENGINE_NAMES
 from fedcard.evaluation import evaluate_queries, rows_to_csv
 from fedcard.fixtures import bench_queries, bench_stores
@@ -30,6 +34,21 @@ def test_bench_results_through_store_files_match_golden(tmp_path):
     rows = evaluate_queries(bench_queries(), ENGINE_NAMES, load_store_dir(tmp_path))
     expected = (GOLDEN / "bench_results.csv").read_text(encoding="utf-8")
     assert rows_to_csv(rows) == expected
+
+
+@pytest.mark.parametrize("method", ["spearman", "ols", "irls"])
+def test_bench_correlate_report_matches_golden(tmp_path, method):
+    out = tmp_path / "report.csv"
+    args = [
+        "correlate",
+        "--results", str(GOLDEN / "bench_results.csv"),
+        "--runtimes", str(GOLDEN / "bench_runtimes.csv"),
+        "--method", method,
+        "--out", str(out),
+    ]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == (GOLDEN / f"bench_report_{method}.csv").read_bytes()
 
 
 def test_costfed_summary_file_matches_golden(tmp_path, toy1_summaries):
