@@ -1,10 +1,12 @@
 """Correlation and regression between error metrics and runtimes.
 
-Spearman rank correlation (average ranks for ties, t-approximated p-value,
-exact permutation p for n <= 10), simple least squares, and robust
-regression via iteratively reweighted least squares with Huber weights
-(k = 1.345, MAD-based scale). Coefficients are banded into the usual
-very-weak .. very-strong classes with boundaries at 0.20/0.40/0.60/0.80.
+Spearman rank correlation (average ranks for ties, exact permutation p for
+n <= 10), simple least squares, and robust regression via iteratively
+reweighted least squares with Huber weights (k = 1.345, MAD-based scale).
+All three take R and its p-value from one weighted Pearson kernel: unit
+weights on the ranks, unit weights on the values, and the final IRLS
+weights. Coefficients are banded into the usual very-weak .. very-strong
+classes with boundaries at 0.20/0.40/0.60/0.80.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-# scipy is imported inside the functions that use it: the import takes about
-# a second, and of the CLI commands only ``correlate`` needs it.
+# Only ``scipy.special`` is used, for the t distribution, and it is imported
+# where the p-value is computed: of the CLI commands only ``correlate``
+# needs it.
 
 HUBER_K = 1.345
 MAD_TO_SIGMA = 0.6745
@@ -63,19 +66,50 @@ def correlation_band(coefficient: float) -> str:
     return BAND_LABELS[-1]
 
 
-def _as_float_array(values: Sequence[float], name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise StatsError(f"{name} must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
-        raise StatsError(f"{name} contains non-finite entries")
-    return arr
+def _paired(
+    x: Sequence[float], y: Sequence[float], minimum: int, name: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """x and y as finite one-dimensional float arrays of equal length >= minimum."""
+    ax, ay = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    for arr, label in ((ax, "x"), (ay, "y")):
+        if arr.ndim != 1:
+            raise StatsError(f"{label} must be one-dimensional")
+        if not np.all(np.isfinite(arr)):
+            raise StatsError(f"{label} contains non-finite entries")
+    if len(ax) != len(ay):
+        raise StatsError("x and y must have equal length")
+    if len(ax) < minimum:
+        raise StatsError(f"{name} requires at least {minimum} points")
+    return ax, ay
 
 
-def _t_sf_two_sided(t: float, df: int) -> float:
-    from scipy import stats as sps
+def _correlation(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """Weighted Pearson R of x and y, and the two-sided p of its t-test.
 
-    return float(2.0 * sps.t.sf(abs(t), df))
+    t = R * sqrt((n - 2) / (1 - R^2)) equals the t of the weighted
+    least-squares slope, so this p is also the slope's; p = 0 when |R| = 1.
+    """
+    sw = np.sum(w)
+    cx = x - np.sum(w * x) / sw
+    cy = y - np.sum(w * y) / sw
+    vy = np.sum(w * cy**2)
+    if vy == 0:
+        raise StatsError("y is constant; correlation undefined")
+    r = float(np.sum(w * cx * cy) / math.sqrt(np.sum(w * cx**2) * vy))
+    r = max(-1.0, min(1.0, r))
+    if abs(r) == 1.0:
+        return r, 0.0
+    from scipy.special import stdtr
+
+    n = len(x)
+    t = r * math.sqrt((n - 2) / (1.0 - r * r))
+    return r, float(2.0 * stdtr(n - 2, -abs(t)))
+
+
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks; tied values share the mean of the ranks they span."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
 
 
 def _exact_spearman_p(rank_x: np.ndarray, rank_y: np.ndarray, observed_rho: float) -> float:
@@ -88,15 +122,8 @@ def _exact_spearman_p(rank_x: np.ndarray, rank_y: np.ndarray, observed_rho: floa
     hits = 0
     total = 0
     # The statistic is affine in sum(cx * cy[perm]); enumerate in chunks.
-    chunk = []
-    for perm in itertools.permutations(range(n)):
-        chunk.append(perm)
-        if len(chunk) == 100_000:
-            dots = np.abs(cy[np.array(chunk)] @ cx)
-            hits += int(np.sum(dots >= threshold))
-            total += len(chunk)
-            chunk = []
-    if chunk:
+    perms = itertools.permutations(range(n))
+    while chunk := list(itertools.islice(perms, 100_000)):
         dots = np.abs(cy[np.array(chunk)] @ cx)
         hits += int(np.sum(dots >= threshold))
         total += len(chunk)
@@ -109,52 +136,27 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     The p-value uses the exact permutation distribution for n <= 10 and
     the t-approximation with n - 2 degrees of freedom otherwise.
     """
-    ax = _as_float_array(x, "x")
-    ay = _as_float_array(y, "y")
-    if len(ax) != len(ay):
-        raise StatsError("x and y must have equal length")
+    ax, ay = _paired(x, y, 3, "spearman")
     n = len(ax)
-    if n < 3:
-        raise StatsError("spearman requires at least 3 points")
-    from scipy import stats as sps
-
-    rank_x = sps.rankdata(ax)
-    rank_y = sps.rankdata(ay)
+    rank_x = _average_ranks(ax)
+    rank_y = _average_ranks(ay)
     if np.ptp(rank_x) == 0 or np.ptp(rank_y) == 0:
         raise StatsError("zero rank variance: input vector is constant")
-    rho = float(np.corrcoef(rank_x, rank_y)[0, 1])
-    rho = max(-1.0, min(1.0, rho))
-
+    rho, p = _correlation(rank_x, rank_y, np.ones(n))
     if n <= EXACT_PERMUTATION_MAX_N:
         p = _exact_spearman_p(rank_x, rank_y, rho)
-    elif abs(rho) == 1.0:
-        p = 0.0
-    else:
-        t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-        p = _t_sf_two_sided(t, n - 2)
     return CorrelationResult(rho=rho, p_value=p, n=n)
 
 
 def ols(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
     """Simple least squares; R is the Pearson correlation of x and y."""
-    ax = _as_float_array(x, "x")
-    ay = _as_float_array(y, "y")
-    if len(ax) != len(ay):
-        raise StatsError("x and y must have equal length")
-    if len(ax) < 3:
-        raise StatsError("ols requires at least 3 points")
+    ax, ay = _paired(x, y, 3, "ols")
     if np.ptp(ax) == 0:
         raise StatsError("x is constant; slope undefined")
-    from scipy import stats as sps
-
-    fit = sps.linregress(ax, ay)
-    return RegressionResult(
-        intercept=float(fit.intercept),
-        slope=float(fit.slope),
-        r=float(fit.rvalue),
-        p_value=float(fit.pvalue),
-        n=len(ax),
-    )
+    w = np.ones(len(ax))
+    intercept, slope = _weighted_fit(ax, ay, w)
+    r, p = _correlation(ax, ay, w)
+    return RegressionResult(intercept=intercept, slope=slope, r=r, p_value=p, n=len(ax))
 
 
 def _weighted_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
@@ -168,33 +170,6 @@ def _weighted_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, f
     return float(my - slope * mx), slope
 
 
-def _weighted_pearson(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> float:
-    sw = np.sum(w)
-    mx = np.sum(w * x) / sw
-    my = np.sum(w * y) / sw
-    cov = np.sum(w * (x - mx) * (y - my))
-    vx = np.sum(w * (x - mx) ** 2)
-    vy = np.sum(w * (y - my) ** 2)
-    if vx == 0 or vy == 0:
-        return 0.0
-    return float(cov / math.sqrt(vx * vy))
-
-
-def _weighted_slope_p(x: np.ndarray, y: np.ndarray, w: np.ndarray, intercept: float, slope: float) -> float:
-    n = len(x)
-    if n <= 2:
-        return float("nan")
-    resid = y - intercept - slope * x
-    sw = np.sum(w)
-    mx = np.sum(w * x) / sw
-    sxx = float(np.sum(w * (x - mx) ** 2))
-    sse = float(np.sum(w * resid**2))
-    if sse <= 0 or sxx <= 0:
-        return 0.0
-    se = math.sqrt(sse / (n - 2) / sxx)
-    return _t_sf_two_sided(slope / se, n - 2)
-
-
 def irls_huber(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
     """Robust line fit by IRLS with Huber weights.
 
@@ -205,13 +180,8 @@ def irls_huber(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
     drops below 0.95 are reported as outliers, and R is the weighted
     Pearson correlation under the final weights.
     """
-    ax = _as_float_array(x, "x")
-    ay = _as_float_array(y, "y")
-    if len(ax) != len(ay):
-        raise StatsError("x and y must have equal length")
+    ax, ay = _paired(x, y, 4, "irls_huber")
     n = len(ax)
-    if n < 4:
-        raise StatsError("irls_huber requires at least 4 points")
     if np.ptp(ax) == 0:
         raise StatsError("x is constant; slope undefined")
 
@@ -239,11 +209,12 @@ def irls_huber(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
             break
 
     outliers = tuple(int(i) for i in np.flatnonzero(w < OUTLIER_WEIGHT_THRESHOLD))
+    r, p = _correlation(ax, ay, w)
     return RegressionResult(
         intercept=intercept,
         slope=slope,
-        r=_weighted_pearson(ax, ay, w),
-        p_value=_weighted_slope_p(ax, ay, w, intercept, slope),
+        r=r,
+        p_value=p,
         n=n,
         weights=tuple(float(v) for v in w),
         outliers=outliers,
@@ -282,15 +253,15 @@ def correlate_results(
     target: str,
     method: str = "spearman",
     common_only: bool = False,
-    min_points: int = 3,
 ) -> CorrelationReport:
     """Per-engine correlation between a feature column and a target column.
 
     Rows are dicts with at least ``engine``, ``query_id``, ``status``, the
     feature, and the target. Rows whose status is not ``ok`` are dropped;
     with ``common_only`` only queries every engine passed are kept.
-    Engines with fewer than ``min_points`` usable rows are skipped with a
-    warning, and an averages row is appended across the reported engines.
+    Engines with fewer than 3 usable rows, or whose rows the method rejects
+    (a constant feature or target), are skipped with a warning, and an
+    averages row is appended across the reported engines.
     """
     if method not in METHODS:
         raise StatsError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -304,7 +275,6 @@ def correlate_results(
         common = set.intersection(*passed.values()) if passed else set()
         usable = [r for r in usable if r["query_id"] in common]
 
-    coefficients = []
     for engine in engines:
         engine_rows = [r for r in usable if r["engine"] == engine]
         points = [
@@ -312,7 +282,7 @@ def correlate_results(
             for r in engine_rows
             if r.get(feature) not in (None, "") and r.get(target) not in (None, "")
         ]
-        if len(points) < min_points:
+        if len(points) < 3:
             report.warnings.append(
                 f"engine {engine}: only {len(points)} usable rows for {feature}, skipped"
             )
@@ -324,11 +294,8 @@ def correlate_results(
             if method == "spearman":
                 res = spearman(xs, ys)
                 coef, p, n, outliers = res.rho, res.p_value, res.n, ()
-            elif method == "ols":
-                fit = ols(xs, ys)
-                coef, p, n, outliers = fit.r, fit.p_value, fit.n, ()
             else:
-                fit = irls_huber(xs, ys)
+                fit = (ols if method == "ols" else irls_huber)(xs, ys)
                 coef, p, n = fit.r, fit.p_value, fit.n
                 outliers = tuple(ids[i] for i in fit.outliers)
         except StatsError as exc:
@@ -337,10 +304,9 @@ def correlate_results(
         report.rows.append(
             CorrelationRow(engine, feature, method, coef, p, n, correlation_band(coef), outliers)
         )
-        coefficients.append(coef)
 
-    if coefficients:
-        avg = sum(coefficients) / len(coefficients)
+    if report.rows:
+        avg = sum(r.coefficient for r in report.rows) / len(report.rows)
         report.rows.append(
             CorrelationRow(
                 engine="average",
@@ -348,7 +314,7 @@ def correlate_results(
                 method=method,
                 coefficient=avg,
                 p_value=float("nan"),
-                n=sum(r.n for r in report.rows if r.feature == feature and r.engine != "average"),
+                n=sum(r.n for r in report.rows),
                 band=correlation_band(avg),
             )
         )

@@ -1,9 +1,17 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import fedcard
 from fedcard.stats import (
+    EXACT_PERMUTATION_MAX_N,
+    METHODS,
     StatsError,
     correlate_results,
     correlation_band,
@@ -171,6 +179,50 @@ def test_irls_requires_four_points():
         irls_huber([1, 2, 3], [1, 2, 3])
 
 
+# ------------------------------------------------------------ scipy references
+
+
+def test_spearman_and_ols_match_scipy_stats():
+    """scipy.stats' Spearman (t-approximated p) and linregress are the references."""
+    sps = pytest.importorskip("scipy.stats")
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(EXACT_PERMUTATION_MAX_N + 1, 40)
+        x = [float(rng.randrange(2, 8)) + (i == 0) * 10 for i in range(n)]
+        y = [float(rng.randrange(5)) + v / 3 for v in x]
+        expected = sps.spearmanr(x, y)
+        got = spearman(x, y)
+        assert got.rho == pytest.approx(expected.statistic, rel=1e-12, abs=1e-12)
+        assert got.p_value == pytest.approx(expected.pvalue, rel=1e-9, abs=1e-300)
+        ref = sps.linregress(x, y)
+        fit = ols(x, y)
+        assert (fit.intercept, fit.slope) == pytest.approx((ref.intercept, ref.slope), rel=1e-9)
+        assert fit.r == pytest.approx(ref.rvalue, rel=1e-12, abs=1e-12)
+        assert fit.p_value == pytest.approx(ref.pvalue, rel=1e-9, abs=1e-300)
+
+
+def test_irls_p_value_is_the_weighted_slope_t_test():
+    sps = pytest.importorskip("scipy.stats")
+    rng = random.Random(12)
+    x = [rng.uniform(0, 10) for _ in range(25)]
+    y = [2 + 0.5 * v + rng.gauss(0, 1) for v in x]
+    y[3] += 40
+    fit = irls_huber(x, y)
+    assert fit.converged and fit.outliers
+    w = np.array(fit.weights)
+    ax, ay = np.array(x), np.array(y)
+    sxx = np.sum(w * (ax - np.sum(w * ax) / np.sum(w)) ** 2)
+    sse = np.sum(w * (ay - fit.intercept - fit.slope * ax) ** 2)
+    t = fit.slope / math.sqrt(sse / (len(x) - 2) / sxx)
+    assert fit.p_value == pytest.approx(2 * sps.t.sf(abs(t), len(x) - 2), rel=1e-9)
+
+
+@pytest.mark.parametrize("method", [spearman, ols, irls_huber])
+def test_constant_y_rejected_by_every_method(method):
+    with pytest.raises(StatsError):
+        method([1, 2, 3, 4, 5], [7, 7, 7, 7, 7])
+
+
 # ------------------------------------------------------------ bands
 
 
@@ -261,3 +313,32 @@ def test_correlate_irls_reports_outliers():
 def test_correlate_unknown_method():
     with pytest.raises(StatsError):
         correlate_results([], "E_P", "runtime_ms", method="magic")
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_correlate_skips_engine_with_constant_runtimes(method):
+    rng = random.Random(3)
+    features = [rng.uniform(0, 1) for _ in range(12)]
+    rows = make_rows("costfed", [(f, 100 * f + rng.uniform(0, 50)) for f in features])
+    rows += make_rows("lhd", [(f, 250.0) for f in features])
+    report = correlate_results(rows, "E_P", "runtime_ms", method=method)
+    assert [r.engine for r in report.rows] == ["costfed", "average"]
+    assert any(w.startswith("engine lhd: ") for w in report.warnings)
+    for row in report.rows[:-1]:
+        assert not math.isnan(row.coefficient) and row.p_value > 0
+
+
+def test_correlate_leaves_scipy_stats_unloaded():
+    code = (
+        "import sys\n"
+        "from fedcard.stats import METHODS, correlate_results\n"
+        "rows = [{'engine': 'e', 'query_id': f'q{i}', 'E_P': i % 7, 'runtime_ms': i} for i in range(20)]\n"
+        "for method in METHODS:\n"
+        "    assert correlate_results(rows, 'E_P', 'runtime_ms', method=method).rows\n"
+        "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fedcard.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["True", "False"]
