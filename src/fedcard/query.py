@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, replace
 from typing import Union
 
-from .ntriples import NTriplesParseError, Term, TermKind, scan_term
+from .ntriples import _EOL, NTriplesParseError, Term, TermKind, scan_term
 
 _UNSUPPORTED_CLAUSES = (
     "OPTIONAL",
@@ -135,9 +135,6 @@ _TOKEN_RE = re.compile(
 )
 
 
-_LINE_END = re.compile(r"[\r\n]")
-
-
 @dataclass(frozen=True, slots=True)
 class _Token:
     kind: str
@@ -149,37 +146,28 @@ class _Token:
 
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        if text[pos] in '<"':
-            # IRIs and literals are read by the N-Triples term scanner, within
-            # their line, so that queries and data share one term grammar.
-            column = pos - line_start + 1
-            eol = _LINE_END.search(text, pos)
-            line_text = text[line_start : eol.start() if eol else len(text)]
-            try:
-                term, end = scan_term(line_text, pos - line_start, line)
-            except NTriplesParseError as exc:
-                raise QueryParseError(line, column, exc.reason) from None
-            end += line_start
-            tokens.append(_Token("term", text[pos:end], line, column, term))
-            pos = end
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            col = pos - line_start + 1
-            raise QueryParseError(line, col, f"unexpected character {text[pos]!r}")
-        kind = m.lastgroup or ""
-        tok_text = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, tok_text, line, pos - line_start + 1))
-        newlines = tok_text.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + tok_text.rindex("\n") + 1
-        pos = m.end()
+    # Lines end where N-Triples lines do (\n, \r\n or a lone \r), so no token
+    # spans lines and a column is an offset within the line.
+    for line, line_text in enumerate(_EOL.split(text), start=1):
+        pos = 0
+        while pos < len(line_text):
+            column = pos + 1
+            if line_text[pos] in '<"':
+                # IRIs and literals are read by the N-Triples term scanner, so
+                # that queries and data share one term grammar.
+                try:
+                    term, end = scan_term(line_text, pos, line)
+                except NTriplesParseError as exc:
+                    raise QueryParseError(line, column, exc.reason) from None
+                tokens.append(_Token("term", line_text[pos:end], line, column, term))
+                pos = end
+                continue
+            m = _TOKEN_RE.match(line_text, pos)
+            if m is None:
+                raise QueryParseError(line, column, f"unexpected character {line_text[pos]!r}")
+            if m.lastgroup not in ("ws", "comment"):
+                tokens.append(_Token(m.lastgroup or "", m.group(), line, column))
+            pos = m.end()
     return tokens
 
 

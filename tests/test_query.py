@@ -61,6 +61,22 @@ def test_syntax_error_position():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize(
+    "template, position, reason",
+    [
+        ("SELECT * WHERE {{{eol}  ?s <http://x/p> }}", (2, 19), "expected object term, found '}'"),
+        ("SELECT * WHERE {{{eol}  ?s <http://x/p{eol} ?o }}", (2, 6), "unterminated IRI"),
+    ],
+)
+def test_error_position_counts_every_line_ending(eol, template, position, reason):
+    """Lines end at \\n, \\r\\n or a lone \\r, as in N-Triples."""
+    with pytest.raises(QueryParseError) as err:
+        parse_query(template.format(eol=eol))
+    assert (err.value.line, err.value.column) == position
+    assert err.value.reason == reason
+
+
 def test_projection_must_occur():
     with pytest.raises(QueryParseError) as err:
         parse_query("SELECT ?nope WHERE { ?s ?p ?o }")
