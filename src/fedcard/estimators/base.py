@@ -9,7 +9,7 @@ from typing import Iterable, Optional, Sequence
 
 from ..expr import Expression, Join, Leaf
 from ..query import JoinEdge, TriplePattern, Var
-from ..store import TripleStore, count
+from ..store import TripleStore, match
 from ..summaries import SourceVoid, SummarySet
 
 
@@ -30,7 +30,7 @@ class EstimationError(RuntimeError):
 
 def select_sources(tp: TriplePattern, stores: Sequence[TripleStore]) -> frozenset[str]:
     """Exact source selection: a source is relevant iff it holds a match."""
-    return frozenset(s.source_name for s in stores if count(s, tp))
+    return frozenset(s.source_name for s in stores if len(match(s, tp)))
 
 
 def void_leaf_card(tp: TriplePattern, src: SourceVoid) -> float:

@@ -30,7 +30,7 @@ from typing import Callable, Optional, Sequence
 from .estimators.base import CardinalityEstimator, PlanEstimates
 from .expr import Expression, Leaf, join_nodes, ordinals, patterns as expr_patterns, variables
 from .query import TriplePattern, Var
-from .store import TripleStore, count, match
+from .store import TripleStore, match
 
 DEFAULT_ORACLE_CAP = 10_000_000
 ORACLE_CAP_ENV = "FEDCARD_ORACLE_CAP"
@@ -81,18 +81,9 @@ def _group(counts: Counts, key_of: Callable, part_of: Callable) -> dict[tuple, C
     return groups
 
 
-def true_tp_card(
-    tp: TriplePattern,
-    stores: Sequence[TripleStore],
-    sources: Optional[frozenset[str]] = None,
-) -> int:
-    """Exact cardinality of one pattern, summed over (selected) sources."""
-    total = 0
-    for store in stores:
-        if sources is not None and store.source_name not in sources:
-            continue
-        total += count(store, tp)
-    return total
+def true_tp_card(tp: TriplePattern, stores: Sequence[TripleStore]) -> int:
+    """Exact cardinality of one pattern, summed over the stores."""
+    return sum(len(match(store, tp)) for store in stores)
 
 
 class Oracle:

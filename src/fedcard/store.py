@@ -158,15 +158,6 @@ def match(store: TripleStore, pattern: TriplePattern) -> tuple[IdRow, ...]:
     pattern's slots (not its ordinal, so the same pattern in another query
     hits the memo); every call returns the memoised tuple itself.
     """
-    return _memoised(store, pattern)
-
-
-def count(store: TripleStore, pattern: TriplePattern) -> int:
-    """Number of store triples unifying with the pattern, read off the match memo."""
-    return len(_memoised(store, pattern))
-
-
-def _memoised(store: TripleStore, pattern: TriplePattern) -> tuple[IdRow, ...]:
     key = (pattern.subject, pattern.predicate, pattern.object)
     found = store._match_memo.get(key)
     if found is None:
