@@ -226,7 +226,12 @@ def correlate(results_path, runtimes_path, features, method, common_only, out_pa
             any_rows = True
         reports.append(report)
     if not any_rows:
-        click.echo("error: insufficient data: fewer than 3 joined rows for every engine", err=True)
+        if any(report.rejected for report in reports):
+            click.echo("error: no engine could be correlated; see the warnings above", err=True)
+        else:
+            click.echo(
+                "error: insufficient data: fewer than 3 joined rows for every engine", err=True
+            )
         sys.exit(1)
 
     click.echo(_render_report_table(reports))

@@ -1,11 +1,18 @@
-"""RDF terms, triples, and a line-based N-Triples parser.
+"""RDF terms, triples, and a line-based N-Triples reader.
 
-The parser accepts the W3C N-Triples grammar (IRIs, typed/tagged literals,
+The reader accepts the W3C N-Triples grammar (IRIs, typed/tagged literals,
 blank nodes, ``#`` comments) and reports syntax errors with 1-based line
-numbers. Duplicates are preserved in document order; deduplication happens
-when a store is built. ``parse_term`` reads a single term token with the
-same scanner, and ``scan_term`` one token inside a line; together they are
-the one term reader of store files and queries.
+numbers. ``read_ntriples`` turns a document into the shape a store file
+holds: its distinct terms in first-seen order plus three indexes into them
+per triple, duplicates preserved in document order (deduplication happens
+when a store is built). One compiled pattern splits each statement line
+into its three term tokens, and each distinct token text is read once per
+document; a line the pattern does not take is read by the token scanner,
+which reports the error. ``parse_ntriples`` returns the same triples as
+``Triple`` objects.
+``parse_term`` reads a single term token with the same scanner, and
+``scan_term`` one token inside a line; together they are the one term
+reader of store files and queries.
 ``format_term`` writes tokens that ``parse_term`` reads back to an equal
 term, escaping in IRIs every character N-Triples forbids there.
 """
@@ -15,7 +22,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 _ESCAPES = {
     "t": "\t",
@@ -35,6 +42,21 @@ _IRI_RAW_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`]')
 # N-Triples ends a line at CR or LF only; str.splitlines would also split
 # inside a term at U+2028, U+0085 and the other Unicode line breaks.
 _EOL = re.compile(r"\r\n|\r|\n")
+
+# One statement line: subject, predicate and object tokens, then ".". Each
+# token spans exactly what ``_LineScanner`` consumes for it (an IRI to the
+# first ">", a blank label without trailing dots, a literal to its first
+# unescaped quote plus a datatype IRI or language tag), and each position
+# takes only the kinds it allows, so a literal subject or a non-IRI
+# predicate leaves the line to the scanner, which reports it.
+_IRI_TOKEN = r"<[^>]*>"
+_BLANK_TOKEN = r"_:(?:[\w.-]*[\w-])?"
+_LITERAL_TOKEN = r'"[^"\\]*(?:\\.[^"\\]*)*"(?:\^\^<[^>]*>|@(?:[^\W_]|-)*)?'
+_STATEMENT = re.compile(
+    rf"({_IRI_TOKEN}|{_BLANK_TOKEN})[ \t]*({_IRI_TOKEN})[ \t]*"
+    rf"({_IRI_TOKEN}|{_BLANK_TOKEN}|{_LITERAL_TOKEN})[ \t]*\.",
+    re.DOTALL,
+)
 
 
 class TermKind(enum.Enum):
@@ -157,18 +179,12 @@ def _escape_iri(value: str) -> str:
 
 
 class _LineScanner:
-    """Tokenizer for one N-Triples statement line.
+    """Tokenizer for one N-Triples statement line."""
 
-    ``iris`` maps a raw IRI token (the text between the angle brackets) to
-    its term. It may be shared by the scanners of one document, so that a
-    repeated IRI is read once; only tokens that read cleanly enter it.
-    """
-
-    def __init__(self, text: str, line: int, iris: dict[str, Term]):
+    def __init__(self, text: str, line: int):
         self.text = text
         self.line = line
         self.pos = 0
-        self.iris = iris
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos] in " \t":
@@ -209,16 +225,13 @@ class _LineScanner:
             raise self.error("unterminated IRI")
         raw = self.text[self.pos + 1 : end]
         self.pos = end + 1
-        term = self.iris.get(raw)
-        if term is None:
-            bad = _IRI_RAW_FORBIDDEN.search(raw)
-            if bad:
-                raise self.error(f"character {bad.group()!r} not allowed in IRI")
-            value = _unescape(raw, self.line)
-            if not value:
-                raise self.error("empty IRI")
-            term = self.iris[raw] = iri(value)
-        return term
+        bad = _IRI_RAW_FORBIDDEN.search(raw)
+        if bad:
+            raise self.error(f"character {bad.group()!r} not allowed in IRI")
+        value = _unescape(raw, self.line)
+        if not value:
+            raise self.error("empty IRI")
+        return iri(value)
 
     def _blank(self) -> Term:
         if not self.text.startswith("_:", self.pos):
@@ -270,29 +283,74 @@ class _LineScanner:
         return literal(value)
 
 
-def iter_ntriples(text: str) -> Iterator[Triple]:
-    """Yield triples from N-Triples text in document order.
+def _read_line(line: str, lineno: int) -> tuple[Term, Term, Term]:
+    """Read one stripped statement line with the scanner, term by term.
 
-    Raises NTriplesParseError with a 1-based line number on bad input.
-    A literal in subject position is reported as a structural error.
+    Raises NTriplesParseError for the first fault in reading order; a
+    literal subject is reported before anything after it is read.
     """
-    iris: dict[str, Term] = {}
+    scanner = _LineScanner(line, lineno)
+    subject = scanner.term("subject")
+    if subject.kind is TermKind.LITERAL:
+        raise NTriplesParseError(lineno, "literal not allowed as subject")
+    predicate = scanner.term("predicate")
+    if predicate.kind is not TermKind.IRI:
+        raise NTriplesParseError(lineno, "predicate must be an IRI")
+    obj = scanner.term("object")
+    scanner.expect_dot()
+    if not scanner.at_end():
+        raise NTriplesParseError(lineno, f"trailing content {scanner.rest().strip()!r}")
+    return subject, predicate, obj
+
+
+def read_ntriples(text: str) -> tuple[list[Term], list[int]]:
+    """Read N-Triples text into its distinct terms and their per-triple indexes.
+
+    Returns the document's distinct terms in first-seen order and a flat
+    list of indexes into them, three per triple, in document order with
+    duplicates preserved. Raises NTriplesParseError with a 1-based line
+    number on bad input.
+    """
+    terms: list[Term] = []
+    by_token: dict[str, int] = {}  # token text -> index into terms
+    by_term: dict[Term, int] = {}  # so two spellings of one term share an index
+    flat: list[int] = []
+
+    def index_of(term: Term) -> int:
+        found = by_term.get(term)
+        if found is None:
+            found = by_term[term] = len(terms)
+            terms.append(term)
+        return found
+
+    def read_tokens(line: str, lineno: int, tokens: tuple[str, ...]) -> list[int]:
+        indexes = []
+        for token in tokens:
+            found = by_token.get(token)
+            if found is None:
+                try:
+                    term = parse_term(token)
+                except NTriplesParseError:
+                    return list(map(index_of, _read_line(line, lineno)))
+                found = by_token[token] = index_of(term)
+            indexes.append(found)
+        return indexes
+
+    statement = _STATEMENT.fullmatch
     for lineno, raw_line in enumerate(_EOL.split(text), start=1):
         line = raw_line.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        scanner = _LineScanner(line, lineno, iris)
-        subject = scanner.term("subject")
-        if subject.kind is TermKind.LITERAL:
-            raise NTriplesParseError(lineno, "literal not allowed as subject")
-        predicate = scanner.term("predicate")
-        if predicate.kind is not TermKind.IRI:
-            raise NTriplesParseError(lineno, "predicate must be an IRI")
-        obj = scanner.term("object")
-        scanner.expect_dot()
-        if not scanner.at_end():
-            raise NTriplesParseError(lineno, f"trailing content {scanner.rest().strip()!r}")
-        yield Triple(subject, predicate, obj)
+        m = statement(line)
+        if m is None:
+            flat += map(index_of, _read_line(line, lineno))
+            continue
+        s, p, o = m.groups()
+        try:
+            flat += (by_token[s], by_token[p], by_token[o])
+        except KeyError:
+            flat += read_tokens(line, lineno, (s, p, o))
+    return terms, flat
 
 
 def parse_term(token: str) -> Term:
@@ -303,6 +361,15 @@ def parse_term(token: str) -> Term:
     """
     if not isinstance(token, str):
         raise NTriplesParseError(1, f"term token must be a string, got {token!r}")
+    # A non-empty IRI token with no escape and no forbidden character is its
+    # own lexical form.
+    if (
+        len(token) > 2
+        and token[0] == "<"
+        and token[-1] == ">"
+        and not _IRI_FORBIDDEN.search(token, 1, len(token) - 1)
+    ):
+        return Term(TermKind.IRI, token[1:-1])
     term, end = scan_term(token, 0)
     if end != len(token):
         raise NTriplesParseError(1, f"trailing content {token[end:]!r}")
@@ -315,14 +382,17 @@ def scan_term(line: str, pos: int, lineno: int = 1) -> tuple[Term, int]:
     Returns the term and the offset just past its token; raises
     NTriplesParseError, numbered ``lineno``, for a malformed token.
     """
-    scanner = _LineScanner(line, lineno, {})
+    scanner = _LineScanner(line, lineno)
     scanner.pos = pos
     return scanner.term("RDF"), scanner.pos
 
 
 def parse_ntriples(text: str) -> list[Triple]:
     """Parse N-Triples text into a list of triples, duplicates preserved."""
-    return list(iter_ntriples(text))
+    terms, flat = read_ntriples(text)
+    return [
+        Triple(terms[s], terms[p], terms[o]) for s, p, o in zip(flat[0::3], flat[1::3], flat[2::3])
+    ]
 
 
 def format_term(term: Term) -> str:

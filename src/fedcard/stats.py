@@ -242,6 +242,8 @@ class CorrelationRow:
 class CorrelationReport:
     rows: list[CorrelationRow] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+    # Engines with enough rows that the method rejected (a constant feature or target).
+    rejected: list[str] = field(default_factory=list)
 
 
 METHODS = ("spearman", "ols", "irls")
@@ -260,8 +262,9 @@ def correlate_results(
     feature, and the target. Rows whose status is not ``ok`` are dropped;
     with ``common_only`` only queries every engine passed are kept.
     Engines with fewer than 3 usable rows, or whose rows the method rejects
-    (a constant feature or target), are skipped with a warning, and an
-    averages row is appended across the reported engines.
+    (a constant feature or target), are skipped with a warning; the latter
+    are also listed in ``rejected``. An averages row is appended across the
+    reported engines.
     """
     if method not in METHODS:
         raise StatsError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -300,6 +303,7 @@ def correlate_results(
                 outliers = tuple(ids[i] for i in fit.outliers)
         except StatsError as exc:
             report.warnings.append(f"engine {engine}: {exc}")
+            report.rejected.append(engine)
             continue
         report.rows.append(
             CorrelationRow(engine, feature, method, coef, p, n, correlation_band(coef), outliers)

@@ -15,7 +15,9 @@ store.
 
 A store file (format 2) is one JSON document: the store's own term tokens
 in first-seen order, written by ``format_term``, and a flat list of
-indexes into them, three per triple.
+indexes into them, three per triple. N-Triples ingest reads a document
+into the same shape (``read_ntriples``), and both end in one helper that
+interns each distinct term once and builds the store.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ from .ntriples import (
     TermKind,
     Triple,
     format_term,
-    parse_ntriples,
     parse_term,
+    read_ntriples,
 )
 from .query import Slot, TriplePattern, Var
 
@@ -132,11 +134,10 @@ class TripleStore:
 
 def build_store(source_name: str, triples: Iterable[Triple]) -> TripleStore:
     """Build an immutable store; duplicate triples collapse to one."""
-    # Within one document the parser hands out one Term object per distinct
-    # IRI, so a memo by object identity (as in copy.deepcopy) spares most
-    # lookups the Term hash; a blank node or literal is a new object each
-    # time and only misses. The memo holds each term, so no id() is reused
-    # while it lives.
+    # Within one document ``parse_ntriples`` hands out one Term object per
+    # distinct token, so a memo by object identity (as in copy.deepcopy)
+    # spares most lookups the Term hash. The memo holds each term, so no id()
+    # is reused while it lives.
     memo: dict[int, tuple[Term, int]] = {}
 
     def intern(term: Term) -> int:
@@ -197,9 +198,16 @@ def _scan(store: TripleStore, pattern: TriplePattern) -> tuple[IdRow, ...]:
     )
 
 
+def _store_from(source_name: str, terms: Sequence[Term], flat: Sequence[int]) -> TripleStore:
+    """The store of ``flat``, three indexes into ``terms`` per triple."""
+    ids = list(map(term_id, terms))
+    row_ids = list(map(ids.__getitem__, flat))
+    return TripleStore(source_name, zip(row_ids[0::3], row_ids[1::3], row_ids[2::3]))
+
+
 def load_ntriples_file(source_name: str, path: str | Path) -> TripleStore:
     text = Path(path).read_text(encoding="utf-8")
-    return build_store(source_name, parse_ntriples(text))
+    return _store_from(source_name, *read_ntriples(text))
 
 
 def save_store(store: TripleStore, path: str | Path) -> None:
@@ -247,11 +255,11 @@ def load_store(path: str | Path) -> TripleStore:
             raise ValueError(f"{path}: terms[{index}]: {exc.reason}") from None
     if len(flat) % 3:
         raise ValueError(f"{path}: 'triples' holds {len(flat)} indexes, not three per triple")
-    # type(), not isinstance(): a bool is not an index.
-    bad = next(
-        (i for i, x in enumerate(flat) if type(x) is not int or not 0 <= x < len(terms)), None
-    )
-    if bad is not None:
+    # type(), not isinstance(): a bool is not an index. The types are checked
+    # first, as min and max cannot order mixed types; only on a fault does
+    # the per-entry loop run, to name the first bad entry.
+    if not set(map(type, flat)) <= {int} or (flat and not 0 <= min(flat) <= max(flat) < len(terms)):
+        bad = next(i for i, x in enumerate(flat) if type(x) is not int or not 0 <= x < len(terms))
         raise ValueError(f"{path}: triples[{bad}]: {flat[bad]!r} is not an index into 'terms'")
     literals = {i for i, t in enumerate(terms) if t.kind is TermKind.LITERAL}
     non_iris = {i for i, t in enumerate(terms) if t.kind is not TermKind.IRI}
@@ -263,9 +271,7 @@ def load_store(path: str | Path) -> TripleStore:
             index = next(i for i in range(start, len(flat), 3) if flat[i] in invalid)
             raise ValueError(f"{path}: triples[{index}]: {message}")
 
-    ids = list(map(term_id, terms))
-    row_ids = list(map(ids.__getitem__, flat))
-    return TripleStore(source, zip(row_ids[0::3], row_ids[1::3], row_ids[2::3]))
+    return _store_from(source, terms, flat)
 
 
 def load_store_dir(directory: str | Path, suffix: str = ".store") -> list[TripleStore]:

@@ -4,13 +4,15 @@
 binding dicts; ``decode_keys`` decodes the term-id keys of such a map;
 ``lhd_multi_join_card`` is LHD's flat multi-join formula, the reference for
 its recursive ``join_card``; ``match_triples`` decodes the id rows of
-``store.match``.
+``store.match``; ``scanner_ntriples`` is the N-Triples reader that reads
+every line term by term with the token scanner, the reference for
+``parse_ntriples``.
 """
 
 from typing import Mapping, Optional, Sequence
 
 from fedcard.expr import Expression, variables
-from fedcard.ntriples import Term, Triple
+from fedcard.ntriples import _EOL, NTriplesParseError, Term, TermKind, Triple, _LineScanner
 from fedcard.oracle import Oracle
 from fedcard.query import JoinEdge, TriplePattern
 from fedcard.store import TripleStore, match, term_of
@@ -55,3 +57,28 @@ def lhd_multi_join_card(
 def match_triples(store: TripleStore, pattern: TriplePattern) -> list[Triple]:
     """The triples behind ``match(store, pattern)``, decoded, in store order."""
     return [Triple(*map(term_of, row)) for row in match(store, pattern)]
+
+
+def scanner_ntriples(text: str) -> list[Triple]:
+    """Every triple of ``text``, each line read term by term by the token scanner.
+
+    Raises NTriplesParseError for the first fault, in reading order.
+    """
+    triples = []
+    for lineno, raw_line in enumerate(_EOL.split(text), start=1):
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        scanner = _LineScanner(line, lineno)
+        subject = scanner.term("subject")
+        if subject.kind is TermKind.LITERAL:
+            raise NTriplesParseError(lineno, "literal not allowed as subject")
+        predicate = scanner.term("predicate")
+        if predicate.kind is not TermKind.IRI:
+            raise NTriplesParseError(lineno, "predicate must be an IRI")
+        obj = scanner.term("object")
+        scanner.expect_dot()
+        if not scanner.at_end():
+            raise NTriplesParseError(lineno, f"trailing content {scanner.rest().strip()!r}")
+        triples.append(Triple(subject, predicate, obj))
+    return triples

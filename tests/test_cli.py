@@ -350,6 +350,30 @@ def test_correlate_insufficient_data(runner, workspace, tmp_path):
     assert "insufficient data" in result.output
 
 
+@pytest.mark.parametrize("method", ["spearman", "ols", "irls"])
+def test_correlate_constant_runtimes_names_the_skipped_engines(runner, tmp_path, method):
+    golden = Path(__file__).parent / "golden"
+    lines = (golden / "bench_runtimes.csv").read_text(encoding="utf-8").splitlines()
+    runtimes = tmp_path / "runtimes.csv"
+    runtimes.write_text(
+        "\n".join([lines[0], *(line.rsplit(",", 1)[0] + ",100.000" for line in lines[1:])]) + "\n",
+        encoding="utf-8",
+    )
+    result = runner.invoke(
+        main,
+        [
+            "correlate",
+            "--results", str(golden / "bench_results.csv"),
+            "--runtimes", str(runtimes),
+            "--method", method,
+        ],
+    )
+    assert result.exit_code == 1
+    assert "constant" in result.output
+    assert "error: no engine could be correlated; see the warnings above" in result.output
+    assert "insufficient data" not in result.output
+
+
 def test_correlate_unknown_feature(runner, workspace, tmp_path):
     results = tmp_path / "results.csv"
     results.write_text(RESULTS_HEADER + "\n")

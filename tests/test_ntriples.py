@@ -1,5 +1,11 @@
-import pytest
+import sys
+from pathlib import Path
 
+import pytest
+from helpers import scanner_ntriples
+from hypothesis import given, settings, strategies as st
+
+from fedcard.fixtures import write_fixture_tree
 from fedcard.ntriples import (
     NTriplesParseError,
     TermKind,
@@ -10,7 +16,14 @@ from fedcard.ntriples import (
     literal,
     parse_ntriples,
     parse_term,
+    read_ntriples,
+    scan_term,
 )
+from fedcard.store import build_store, load_ntriples_file
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import gen  # noqa: E402
 
 
 def test_minimal_line():
@@ -159,3 +172,171 @@ def test_raw_forbidden_iri_characters_rejected(token):
         parse_ntriples(text)
     assert err.value.line == 2
     assert err.value.reason.endswith("not allowed in IRI")
+
+
+def test_read_ntriples_gives_distinct_terms_and_their_indexes():
+    text = (
+        '<http://x/A> <http://x/p> "v" .\n'
+        "_:b <http://x/p> <http://x/\\u0041> .\n"
+        '<http://x/A> <http://x/p> "v" .'
+    )
+    terms, flat = read_ntriples(text)
+    assert terms == [iri("http://x/A"), iri("http://x/p"), literal("v"), blank("b")]
+    assert flat == [0, 1, 2, 3, 1, 0, 0, 1, 2]
+
+
+# Term tokens that read cleanly, and tokens that the scanner rejects or
+# reads shorter than they look.
+_GOOD_IRIS = [
+    "<http://x/a>",
+    "<http://x/b>",
+    "<http://x/\\u0041>",
+    "<http://x/\\U0001F600>",
+    "<http://x/\\u003E>",
+    "<http://x/é>",
+    "<\\u0020>",
+]
+_BAD_IRIS = [
+    "<http://x y>",
+    "<http://x/{a}>",
+    "<>",
+    '<http://x/"q">',
+    "<http://x/\x01>",
+    "<http://x/\\q>",
+    "<http://x/\\u00>",
+    "<http://x/a\\>",
+    "<http://x/open",
+]
+_GOOD_BLANKS = ["_:b1", "_:a.b", "_:a..b", "_:é_1", "_:-x", "_:x-"]
+# A label's trailing dots are not part of it: this token ends a statement.
+_DOT_ENDED_BLANK = "_:a."
+_BAD_BLANKS = ["_:", "_:.", "_:..", "_x", "_:a:b"]
+_GOOD_LITERALS = [
+    '"v"',
+    '"a\\"b"',
+    '"a\\\\"',
+    '"x"@en',
+    '"x"@en-GB',
+    '"x"^^<http://x/dt>',
+    '"\\u00e9"',
+    '"x\u2028y\x85z"',
+    '"with . dot"',
+]
+_BAD_LITERALS = [
+    '"x"@',
+    '"x"@en_US',
+    '"x"^^<http://x/d t>',
+    '"x"^^<>',
+    '"x"^^x',
+    '"open',
+    '"bad\\q"',
+    '"\\u12"',
+    '"dangling\\',
+]
+_JUNK = ["nonsense", "?x", ".", ":", "<http://x/a>.<http://x/b>"]
+_TOKENS = [
+    *_GOOD_IRIS, *_BAD_IRIS, *_GOOD_BLANKS, _DOT_ENDED_BLANK, *_BAD_BLANKS,
+    *_GOOD_LITERALS, *_BAD_LITERALS, *_JUNK,
+]
+_UNICODE_SPACE = ["\u00a0", "\u2003", "\u3000", "\x0b", "\x0c", "\x1c", "\x85"]
+
+_gaps = st.sampled_from([" ", "\t", "", " \t "])
+_ends = st.sampled_from([" .", ".", "\t.", " . "])
+_edges = st.sampled_from(["", " ", "\t", *_UNICODE_SPACE])
+_object_ends = st.one_of(
+    st.builds(
+        lambda o, end: o + end, st.sampled_from(_GOOD_IRIS + _GOOD_BLANKS + _GOOD_LITERALS), _ends
+    ),
+    st.just(_DOT_ENDED_BLANK),
+)
+_valid_lines = st.builds(
+    lambda lead, s, g1, p, g2, o_end, tail: f"{lead}{s}{g1}{p}{g2}{o_end}{tail}",
+    _edges,
+    st.sampled_from(_GOOD_IRIS + _GOOD_BLANKS),
+    _gaps,
+    st.sampled_from(_GOOD_IRIS),
+    _gaps,
+    _object_ends,
+    _edges,
+)
+_any_lines = st.builds(
+    lambda lead, s, g1, p, g2, o, end, tail: f"{lead}{s}{g1}{p}{g2}{o}{end}{tail}",
+    _edges,
+    st.sampled_from(_TOKENS),
+    st.sampled_from([" ", "\t", "", "\u00a0"]),
+    st.sampled_from(_TOKENS),
+    st.sampled_from([" ", "\t", "", "\u00a0"]),
+    st.sampled_from(_TOKENS),
+    st.sampled_from([" .", ".", "", " . junk", " ..", " . # c", " .\u00a0x"]),
+    _edges,
+)
+# A literal subject is reported before whatever follows it is read.
+_literal_subject_lines = st.builds(
+    lambda lit, bad, o: f"{lit} {bad} {o} .",
+    st.sampled_from(_GOOD_LITERALS + _BAD_LITERALS),
+    st.sampled_from(_BAD_IRIS + _BAD_BLANKS + _BAD_LITERALS + _JUNK),
+    st.sampled_from(_TOKENS),
+)
+_other_lines = st.sampled_from(["", "   ", "# comment", "  \t# indented <http://x/a>", "#"])
+_eols = st.sampled_from(["\n", "\r\n", "\r"])
+# Valid documents, and documents with one line that is most likely broken
+# somewhere among them.
+_documents = st.builds(
+    lambda lines, broken, at: "".join(
+        line + eol for line, eol in lines[:at] + broken + lines[at:]
+    ),
+    st.lists(st.tuples(st.one_of(_valid_lines, _valid_lines, _other_lines), _eols), max_size=8),
+    st.one_of(
+        st.just([]),
+        st.lists(st.tuples(st.one_of(_any_lines, _literal_subject_lines), _eols), max_size=1),
+    ),
+    st.integers(0, 8),
+)
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except NTriplesParseError as exc:
+        return ("error", exc.line, exc.reason)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(text=_documents)
+def test_parse_ntriples_agrees_with_the_line_scanner(text):
+    assert _outcome(parse_ntriples, text) == _outcome(scanner_ntriples, text)
+
+
+@pytest.mark.parametrize("token", _TOKENS)
+def test_parse_term_agrees_with_the_scanner(token):
+    def scanned(token):
+        term, end = scan_term(token, 0)
+        if end != len(token):
+            raise NTriplesParseError(1, f"trailing content {token[end:]!r}")
+        return term
+
+    assert _outcome(parse_term, token) == _outcome(scanned, token)
+
+
+_GOOD_LINES = [
+    f"{s} {p} {o} ."
+    for s in _GOOD_IRIS[:2] + _GOOD_BLANKS[:2]
+    for p in _GOOD_IRIS[:2]
+    for o in _GOOD_IRIS + _GOOD_BLANKS + _GOOD_LITERALS
+]
+
+
+def _bundled_and_scaled_sources(root: Path) -> list[Path]:
+    write_fixture_tree(root / "fx")
+    gen.write_inputs(root / "scaled", gen.scaled_corpus(gen.DEFAULT_SEED, 4, 2), {})
+    # Every good token kind, each line twice, so that ingest deduplicates.
+    (root / "mixed.nt").write_text("\n".join(_GOOD_LINES * 2) + "\n", encoding="utf-8")
+    return sorted(root.rglob("*.nt"))
+
+
+def test_ingest_rows_equal_build_store_of_parsed_triples(tmp_path):
+    for path in _bundled_and_scaled_sources(tmp_path):
+        ingested = load_ntriples_file(path.stem, path)
+        built = build_store(path.stem, parse_ntriples(path.read_text(encoding="utf-8")))
+        assert ingested.rows == built.rows
+        assert len(ingested) > 0
