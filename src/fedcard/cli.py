@@ -28,6 +28,13 @@ from .summaries import build_all, save_summary
 
 METRIC_FEATURES = ("E_T", "E_J", "E_P", "Q_T", "Q_J", "Q_P")
 
+# The kind of every path option. click checks it before any work, so a path
+# of the wrong kind is a usage error (exit 2).
+FILE = click.Path(dir_okay=False)
+DIR = click.Path(file_okay=False)
+EXISTING_FILE = click.Path(exists=True, dir_okay=False)
+EXISTING_DIR = click.Path(exists=True, file_okay=False)
+
 
 @click.group()
 def main() -> None:
@@ -36,8 +43,8 @@ def main() -> None:
 
 @main.command()
 @click.option("--source", required=True, help="Source name for the ingested dataset.")
-@click.option("--file", "file_path", required=True, type=click.Path(), help="N-Triples input file.")
-@click.option("--out", "out_dir", required=True, type=click.Path(), help="Store directory.")
+@click.option("--file", "file_path", required=True, type=FILE, help="N-Triples input file.")
+@click.option("--out", "out_dir", required=True, type=DIR, help="Store directory.")
 def ingest(source: str, file_path: str, out_dir: str) -> None:
     """Parse an N-Triples file into a deduplicated store file."""
     path = Path(file_path)
@@ -70,9 +77,9 @@ def _load_stores(stores_dir: str) -> list[TripleStore]:
 
 
 @main.command()
-@click.option("--stores", "stores_dir", required=True, type=click.Path(exists=True))
+@click.option("--stores", "stores_dir", required=True, type=EXISTING_DIR)
 @click.option("--kind", type=click.Choice(["void", "costfed", "charsets", "all"]), default="all")
-@click.option("--out", "out_dir", required=True, type=click.Path())
+@click.option("--out", "out_dir", required=True, type=DIR)
 def summarize(stores_dir: str, kind: str, out_dir: str) -> None:
     """Build statistics summaries from ingested stores."""
     summaries = build_all(_load_stores(stores_dir))
@@ -98,10 +105,10 @@ def _parse_engines(spec: str) -> list[str]:
 
 
 @main.command()
-@click.option("--stores", "stores_dir", required=True, type=click.Path(exists=True))
-@click.option("--queries", "queries_dir", required=True, type=click.Path(exists=True))
+@click.option("--stores", "stores_dir", required=True, type=EXISTING_DIR)
+@click.option("--queries", "queries_dir", required=True, type=EXISTING_DIR)
 @click.option("--engines", default="all", help="Comma-separated engine list or 'all'.")
-@click.option("--out", "out_path", required=True, type=click.Path())
+@click.option("--out", "out_path", required=True, type=FILE)
 @click.option("--oracle-cap", type=int, default=None, help="Intermediate-result cap.")
 @click.option("--seed", type=int, default=0, help="Reserved; evaluation is deterministic.")
 def evaluate(stores_dir, queries_dir, engines, out_path, oracle_cap, seed) -> None:
@@ -124,6 +131,7 @@ def evaluate(stores_dir, queries_dir, engines, out_path, oracle_cap, seed) -> No
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     rows = evaluate_queries(queries, engine_names, stores, cap=cap)
     write_results_csv(rows, out_path)
     ok = sum(1 for r in rows if r.status == "ok")
@@ -173,12 +181,12 @@ def _render_report_table(reports: list[CorrelationReport]) -> str:
 
 
 @main.command()
-@click.option("--results", "results_path", required=True, type=click.Path(exists=True))
-@click.option("--runtimes", "runtimes_path", required=True, type=click.Path(exists=True))
+@click.option("--results", "results_path", required=True, type=EXISTING_FILE)
+@click.option("--runtimes", "runtimes_path", required=True, type=EXISTING_FILE)
 @click.option("--features", default="E_T,E_J,E_P,Q_T,Q_J,Q_P")
 @click.option("--method", type=click.Choice(list(METHODS)), default="spearman")
 @click.option("--common-only", is_flag=True, default=False)
-@click.option("--out", "out_path", type=click.Path(), default=None, help="Report CSV path.")
+@click.option("--out", "out_path", type=FILE, default=None, help="Report CSV path.")
 def correlate(results_path, runtimes_path, features, method, common_only, out_path) -> None:
     """Correlate metric columns with supplied per-(query, engine) runtimes."""
     feature_list = [f.strip() for f in features.split(",") if f.strip()]
@@ -236,12 +244,13 @@ def correlate(results_path, runtimes_path, features, method, common_only, out_pa
 
     click.echo(_render_report_table(reports))
     if out_path:
+        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         Path(out_path).write_text(_render_report_csv(reports), encoding="utf-8")
         click.echo(f"wrote report to {out_path}")
 
 
 @main.command()
-@click.option("--out", "out_dir", required=True, type=click.Path())
+@click.option("--out", "out_dir", required=True, type=DIR)
 def fixtures(out_dir: str) -> None:
     """Emit the bundled corpora (toy stores, worked example, benchmark)."""
     written = fixture_mod.write_fixture_tree(out_dir)

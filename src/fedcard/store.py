@@ -2,12 +2,11 @@
 
 Every term is interned to a process-wide integer id on first sight, so
 equal terms in different stores share one id. A store holds its
-deduplicated ``(s, p, o)`` id rows in first-seen order, indexes them by
-subject, predicate and object, and precomputes the per-predicate
-distinct-subject / distinct-object tables that the statistics summaries
-read off. Terms are decoded only at the edges: ``triples`` and the
-predicate-IRI keys of those tables; ``match`` returns id rows, which
-``term_of`` decodes.
+deduplicated ``(s, p, o)`` id rows in first-seen order, keeps one index,
+by predicate, and precomputes the per-predicate distinct-subject /
+distinct-object tables that the statistics summaries read off. Terms are
+decoded only at the edges: ``triples`` and the predicate-IRI keys of those
+tables; ``match`` returns id rows, which ``term_of`` decodes.
 
 Matching is exact: the length of ``match`` is the real cardinality of a
 pattern in this source, and each distinct pattern is scanned once per
@@ -75,22 +74,16 @@ def _triple(row: IdRow) -> Triple:
     return Triple(_TERMS[s], _TERMS[p], _TERMS[o])
 
 
-def _index(rows: Sequence[IdRow], position: int) -> dict[int, list[IdRow]]:
-    index: defaultdict[int, list[IdRow]] = defaultdict(list)
-    for row in rows:
-        index[row[position]].append(row)
-    return dict(index)
-
-
 class TripleStore:
-    """Deduplicated, indexed id rows for one named source."""
+    """Deduplicated id rows for one named source, indexed by predicate."""
 
     def __init__(self, source_name: str, rows: Iterable[IdRow]):
         self.source_name = source_name
         self.rows: tuple[IdRow, ...] = tuple(dict.fromkeys(rows))
-        self._by_subject = _index(self.rows, 0)
-        self._by_predicate = _index(self.rows, 1)
-        self._by_object = _index(self.rows, 2)
+        by_predicate: defaultdict[int, list[IdRow]] = defaultdict(list)
+        for row in self.rows:
+            by_predicate[row[1]].append(row)
+        self._by_predicate = dict(by_predicate)
 
         # Per-predicate stats, keyed by predicate IRI string.
         subject_of, object_of = itemgetter(0), itemgetter(2)
@@ -115,11 +108,11 @@ class TripleStore:
 
     @property
     def distinct_subjects(self) -> int:
-        return len(self._by_subject)
+        return len(set(map(itemgetter(0), self.rows)))
 
     @property
     def distinct_objects(self) -> int:
-        return len(self._by_object)
+        return len(set(map(itemgetter(2), self.rows)))
 
     @property
     def predicates(self) -> Sequence[str]:
@@ -134,21 +127,8 @@ class TripleStore:
 
 def build_store(source_name: str, triples: Iterable[Triple]) -> TripleStore:
     """Build an immutable store; duplicate triples collapse to one."""
-    # Within one document ``parse_ntriples`` hands out one Term object per
-    # distinct token, so a memo by object identity (as in copy.deepcopy)
-    # spares most lookups the Term hash. The memo holds each term, so no id()
-    # is reused while it lives.
-    memo: dict[int, tuple[Term, int]] = {}
-
-    def intern(term: Term) -> int:
-        found = memo.get(id(term))
-        if found is None:
-            found = memo[id(term)] = (term, term_id(term))
-        return found[1]
-
-    return TripleStore(
-        source_name, [(intern(t.subject), intern(t.predicate), intern(t.object)) for t in triples]
-    )
+    rows = [(term_id(t.subject), term_id(t.predicate), term_id(t.object)) for t in triples]
+    return TripleStore(source_name, rows)
 
 
 def match(store: TripleStore, pattern: TriplePattern) -> tuple[IdRow, ...]:
@@ -167,7 +147,8 @@ def match(store: TripleStore, pattern: TriplePattern) -> tuple[IdRow, ...]:
 
 
 def _scan(store: TripleStore, pattern: TriplePattern) -> tuple[IdRow, ...]:
-    fixed: list[tuple[int, int]] = []  # (position, id) of each bound slot
+    candidates: Sequence[IdRow] = store.rows
+    fixed: list[tuple[int, int]] = []  # (position, id) of a bound subject or object
     same: list[tuple[int, int]] = []  # (position, earlier position) of a repeated variable
     first: dict[str, int] = {}
     for position, slot in enumerate((pattern.subject, pattern.predicate, pattern.object)):
@@ -179,15 +160,11 @@ def _scan(store: TripleStore, pattern: TriplePattern) -> tuple[IdRow, ...]:
             found = _IDS.get(slot)
             if found is None:  # a term never interned occurs in no store
                 return ()
-            fixed.append((position, found))
+            if position == 1:
+                candidates = store._by_predicate.get(found, ())
+            else:
+                fixed.append((position, found))
 
-    if not fixed:
-        candidates: Sequence[IdRow] = store.rows
-    else:
-        indexes = (store._by_subject, store._by_predicate, store._by_object)
-        candidates = min((indexes[pos].get(value, ()) for pos, value in fixed), key=len)
-        if len(fixed) == 1:
-            fixed = []
     if not fixed and not same:
         return tuple(candidates)
     return tuple(
@@ -274,10 +251,10 @@ def load_store(path: str | Path) -> TripleStore:
     return _store_from(source, terms, flat)
 
 
-def load_store_dir(directory: str | Path, suffix: str = ".store") -> list[TripleStore]:
+def load_store_dir(directory: str | Path) -> list[TripleStore]:
     """Load every ``*.store`` file in a directory, sorted by source name."""
     stores = []
-    for path in sorted(Path(directory).glob(f"*{suffix}")):
+    for path in sorted(Path(directory).glob("*.store")):
         stores.append(load_store(path))
     names = [s.source_name for s in stores]
     if len(set(names)) != len(names):

@@ -69,6 +69,63 @@ def test_ingest_non_utf8_file_is_a_data_error(runner, tmp_path):
     assert line.startswith(f"error: {bad}: ") and "utf-8" in line
 
 
+
+GOLDEN = Path(__file__).parent / "golden"
+TOY_QUERIES = ["--stores", "{ws}/stores", "--queries", "{ws}/fx/toy/queries"]
+CORRELATE = ["correlate", "--runtimes", str(GOLDEN / "bench_runtimes.csv")]
+
+
+@pytest.mark.parametrize(
+    "args, exit_code",
+    [
+        pytest.param(
+            ["ingest", "--source", "A", "--file", "{ws}/fx", "--out", "{ws}/st"], 2,
+            id="ingest-file-is-a-dir",
+        ),
+        pytest.param(
+            ["ingest", "--source", "A", "--file", "{ws}/fx/toy/sources/A.nt", "--out", "{ws}/file"], 2,
+            id="ingest-out-is-a-file",
+        ),
+        pytest.param(
+            ["summarize", "--stores", "{ws}/stores", "--out", "{ws}/file"], 2,
+            id="summarize-out-is-a-file",
+        ),
+        pytest.param(
+            ["summarize", "--stores", "{ws}/file", "--out", "{ws}/summaries"], 2,
+            id="summarize-stores-is-a-file",
+        ),
+        pytest.param(["fixtures", "--out", "{ws}/file"], 2, id="fixtures-out-is-a-file"),
+        pytest.param(["evaluate", *TOY_QUERIES, "--out", "{ws}/fx"], 2, id="evaluate-out-is-a-dir"),
+        pytest.param(
+            ["evaluate", "--stores", "{ws}/stores", "--queries", "{ws}/file", "--out", "{ws}/r.csv"], 2,
+            id="evaluate-queries-is-a-file",
+        ),
+        pytest.param(
+            ["evaluate", *TOY_QUERIES, "--out", "{ws}/new/dir/results.csv"], 0,
+            id="evaluate-out-in-a-new-dir",
+        ),
+        pytest.param([*CORRELATE, "--results", "{ws}/fx"], 2, id="correlate-results-is-a-dir"),
+        pytest.param(
+            [*CORRELATE, "--results", str(GOLDEN / "bench_results.csv"), "--out", "{ws}/new/dir/r.csv"], 0,
+            id="correlate-out-in-a-new-dir",
+        ),
+    ],
+)
+def test_path_mistakes_end_without_a_traceback(runner, workspace, args, exit_code):
+    """A file where a directory belongs, or the reverse, exits 2 before any work;
+    a file output in a directory that does not exist yet gets its directory."""
+    (workspace / "file").write_text("")
+    args = [arg.format(ws=workspace) for arg in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == exit_code, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    if exit_code:
+        assert "Usage:" in result.output
+    else:
+        assert Path(args[-1]).is_file()
+
+
 def test_summarize_writes_all_kinds(runner, workspace):
     out = workspace / "summ"
     result = runner.invoke(

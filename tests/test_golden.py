@@ -1,4 +1,4 @@
-"""Byte-for-byte pins of the results CSV, the correlate reports and the summary files.
+"""Byte-for-byte pins of the results CSV, the correlate reports, the summary and store files.
 
 The golden files were written by the code that defined these outputs; a
 refactor that changes a single byte of any of them fails here. Nothing
@@ -15,8 +15,8 @@ from click.testing import CliRunner
 from fedcard.cli import main
 from fedcard.estimators import ENGINE_NAMES
 from fedcard.evaluation import evaluate_queries, rows_to_csv
-from fedcard.fixtures import bench_queries, bench_stores
-from fedcard.store import load_store_dir, save_store
+from fedcard.fixtures import bench_queries, bench_stores, toy2_triples, write_ntriples
+from fedcard.store import load_ntriples_file, load_store, load_store_dir, save_store
 from fedcard.summaries import save_summary
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -61,3 +61,13 @@ def test_toy2_summary_file_matches_golden(tmp_path, toy2_summaries, kind):
     """toy2 has characteristic pairs, so the charsets file pins their layout too."""
     (path,) = save_summary(getattr(toy2_summaries, kind), kind, tmp_path)
     assert path.read_bytes() == (GOLDEN / f"A.{kind}.json").read_bytes()
+
+
+def test_toy2_store_file_matches_golden(tmp_path):
+    """toy2 ingested as source A, and that file loaded and saved again, give the pinned bytes."""
+    golden = (GOLDEN / "A.store").read_bytes()
+    write_ntriples(tmp_path / "toy2.nt", toy2_triples())
+    save_store(load_ntriples_file("A", tmp_path / "toy2.nt"), tmp_path / "ingested.store")
+    assert (tmp_path / "ingested.store").read_bytes() == golden
+    save_store(load_store(GOLDEN / "A.store"), tmp_path / "reloaded.store")
+    assert (tmp_path / "reloaded.store").read_bytes() == golden

@@ -7,8 +7,9 @@ import pytest
 
 from conftest import toy_iri, tp
 
-from fedcard.fixtures import bench_stores
+from fedcard.fixtures import BENCH_BASE, bench_stores
 from fedcard.ntriples import Triple, iri
+from fedcard.query import TriplePattern, Var
 from fedcard.store import build_store, load_store, match, save_store, term_id, term_of
 
 
@@ -109,6 +110,37 @@ def test_index_scan_equivalence_random():
             assert len(first) == expected
             assert isinstance(first, tuple)  # callers cannot mutate the memo
             assert len(match(store, pattern)) == expected
+
+
+def test_match_counts_on_shared_entity_iris():
+    """The bench stores use one entity IRI as the subject of some triples and
+    the object of others, so a bound subject or object and an ``s = o``
+    repeat are tested on data where they can match."""
+    stores = bench_stores()
+    x, y = Var("x"), Var("y")
+    self_loop = TriplePattern(x, Var("p"), x)
+    nowhere = iri(BENCH_BASE + "e/nowhere")
+    patterns = [
+        self_loop,
+        TriplePattern(x, x, y),
+        TriplePattern(nowhere, Var("p"), Var("o")),
+        TriplePattern(Var("s"), nowhere, Var("o")),
+        TriplePattern(Var("s"), Var("p"), nowhere),
+    ]
+    rng = random.Random(11)
+    for store in stores:
+        for t in rng.sample(store.triples, 3):
+            terms = (t.subject, t.predicate, t.object)
+            for mask in range(8):  # every bound/unbound slot combination
+                slots = (term if mask >> i & 1 else Var("spo"[i]) for i, term in enumerate(terms))
+                patterns.append(TriplePattern(*slots))
+            patterns.append(TriplePattern(x, t.predicate, x))
+            patterns.append(TriplePattern(t.object, Var("p"), Var("o")))
+            patterns.append(TriplePattern(Var("s"), Var("p"), t.subject))
+    for store in stores:
+        for pattern in patterns:
+            assert len(match(store, pattern)) == linear_scan_count(store, pattern), pattern
+    assert any(match(store, self_loop) for store in stores)
 
 
 def test_build_store_idempotent(toy1):
