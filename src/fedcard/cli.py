@@ -36,6 +36,15 @@ EXISTING_FILE = click.Path(exists=True, dir_okay=False)
 EXISTING_DIR = click.Path(exists=True, file_okay=False)
 
 
+def _make_dir(path: Path) -> None:
+    """Create ``path`` and its parents; a path that runs through a file exits 2."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        click.echo(f"error: cannot create directory {path}: {exc.strerror}", err=True)
+        sys.exit(2)
+
+
 @click.group()
 def main() -> None:
     """Cardinality-estimation laboratory for federated SPARQL planning."""
@@ -51,13 +60,13 @@ def ingest(source: str, file_path: str, out_dir: str) -> None:
     if not path.exists():
         click.echo(f"error: no such file: {path}", err=True)
         sys.exit(2)
+    out = Path(out_dir)
+    _make_dir(out)
     try:
         store = load_ntriples_file(source, path)
     except (NTriplesParseError, UnicodeDecodeError) as exc:
         click.echo(f"error: {path}: {exc}", err=True)
         sys.exit(1)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     target = out / f"{source}.store"
     save_store(store, target)
     click.echo(f"ingested {store.total_triples} triples from {path} into {target}")
@@ -82,6 +91,7 @@ def _load_stores(stores_dir: str) -> list[TripleStore]:
 @click.option("--out", "out_dir", required=True, type=DIR)
 def summarize(stores_dir: str, kind: str, out_dir: str) -> None:
     """Build statistics summaries from ingested stores."""
+    _make_dir(Path(out_dir))
     summaries = build_all(_load_stores(stores_dir))
     kinds = ["void", "costfed", "charsets"] if kind == "all" else [kind]
     for k in kinds:
@@ -131,7 +141,7 @@ def evaluate(stores_dir, queries_dir, engines, out_path, oracle_cap, seed) -> No
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(Path(out_path).parent)
     rows = evaluate_queries(queries, engine_names, stores, cap=cap)
     write_results_csv(rows, out_path)
     ok = sum(1 for r in rows if r.status == "ok")
@@ -197,6 +207,8 @@ def correlate(results_path, runtimes_path, features, method, common_only, out_pa
                 err=True,
             )
             sys.exit(2)
+    if out_path:
+        _make_dir(Path(out_path).parent)
     try:
         results = read_results_csv(results_path)
     except ValueError as exc:  # includes UnicodeDecodeError
@@ -244,7 +256,6 @@ def correlate(results_path, runtimes_path, features, method, common_only, out_pa
 
     click.echo(_render_report_table(reports))
     if out_path:
-        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         Path(out_path).write_text(_render_report_csv(reports), encoding="utf-8")
         click.echo(f"wrote report to {out_path}")
 
@@ -253,6 +264,7 @@ def correlate(results_path, runtimes_path, features, method, common_only, out_pa
 @click.option("--out", "out_dir", required=True, type=DIR)
 def fixtures(out_dir: str) -> None:
     """Emit the bundled corpora (toy stores, worked example, benchmark)."""
+    _make_dir(Path(out_dir))
     written = fixture_mod.write_fixture_tree(out_dir)
     click.echo(f"wrote {len(written)} fixture files under {out_dir}")
 

@@ -7,20 +7,19 @@ All three take R and its p-value from one weighted Pearson kernel: unit
 weights on the ranks, unit weights on the values, and the final IRLS
 weights. Coefficients are banded into the usual very-weak .. very-strong
 classes with boundaries at 0.20/0.40/0.60/0.80.
+
+Only the standard library is used: the t tail comes from the regularized
+incomplete beta function, and the exact Spearman p from a dynamic program
+over integer (doubled) ranks.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import statistics
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
-
-# Only ``scipy.special`` is used, for the t distribution, and it is imported
-# where the p-value is computed: of the CLI commands only ``correlate``
-# needs it.
 
 HUBER_K = 1.345
 MAD_TO_SIGMA = 0.6745
@@ -31,6 +30,12 @@ EXACT_PERMUTATION_MAX_N = 10
 
 BAND_BOUNDARIES = (0.20, 0.40, 0.60, 0.80)
 BAND_LABELS = ("very weak", "weak", "moderate", "strong", "very strong")
+
+# Modified Lentz: stop once a factor is within BETA_EPS of 1; BETA_TINY
+# stands in for a zero denominator.
+BETA_EPS = 1e-16
+BETA_TINY = 1e-300
+BETA_MAX_ITER = 10_000
 
 
 class StatsError(ValueError):
@@ -66,68 +71,150 @@ def correlation_band(coefficient: float) -> str:
     return BAND_LABELS[-1]
 
 
+def _floats(values: Iterable[float], label: str) -> list[float]:
+    try:
+        out = [float(v) for v in values]
+    except TypeError:  # a scalar, or an entry that is itself a sequence
+        raise StatsError(f"{label} must be one-dimensional") from None
+    if not all(map(math.isfinite, out)):
+        raise StatsError(f"{label} contains non-finite entries")
+    return out
+
+
 def _paired(
     x: Sequence[float], y: Sequence[float], minimum: int, name: str
-) -> tuple[np.ndarray, np.ndarray]:
-    """x and y as finite one-dimensional float arrays of equal length >= minimum."""
-    ax, ay = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    for arr, label in ((ax, "x"), (ay, "y")):
-        if arr.ndim != 1:
-            raise StatsError(f"{label} must be one-dimensional")
-        if not np.all(np.isfinite(arr)):
-            raise StatsError(f"{label} contains non-finite entries")
-    if len(ax) != len(ay):
+) -> tuple[list[float], list[float]]:
+    """x and y as finite float lists of equal length >= minimum."""
+    xs, ys = _floats(x, "x"), _floats(y, "y")
+    if len(xs) != len(ys):
         raise StatsError("x and y must have equal length")
-    if len(ax) < minimum:
+    if len(xs) < minimum:
         raise StatsError(f"{name} requires at least {minimum} points")
-    return ax, ay
+    return xs, ys
 
 
-def _correlation(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+def _is_constant(values: Sequence[float]) -> bool:
+    return max(values) == min(values)
+
+
+def _regularized_beta(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b), the regularized incomplete beta function, with y = 1 - x.
+
+    y is passed separately so that a caller can supply it without the
+    cancellation of 1 - x. The continued fraction (modified Lentz) converges
+    fast for x < (a + 1) / (a + b + 2); above that I_x(a, b) = 1 - I_y(b, a).
+    """
+    if x <= 0.0:
+        return 0.0
+    if y <= 0.0:
+        return 1.0
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _regularized_beta(b, a, y, x)
+    log_front = (
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y)
+    )
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > BETA_TINY else BETA_TINY)
+    fraction = d
+    for m in range(1, BETA_MAX_ITER + 1):
+        # Even step, then odd step, of the continued fraction.
+        for numerator in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > BETA_TINY else BETA_TINY)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > BETA_TINY else BETA_TINY
+            factor = c * d
+            fraction *= factor
+        if abs(factor - 1.0) < BETA_EPS:
+            return math.exp(log_front) * fraction / a
+    raise StatsError(f"incomplete beta I_x({a}, {b}) did not converge at x = {x}")
+
+
+def _t_two_sided_p(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with df degrees of freedom.
+
+    That is I_x(df / 2, 1 / 2) at x = df / (df + t^2).
+    """
+    t2 = t * t
+    return _regularized_beta(df / 2.0, 0.5, df / (df + t2), t2 / (df + t2))
+
+
+def _correlation(x: list[float], y: list[float], w: list[float]) -> tuple[float, float]:
     """Weighted Pearson R of x and y, and the two-sided p of its t-test.
 
     t = R * sqrt((n - 2) / (1 - R^2)) equals the t of the weighted
     least-squares slope, so this p is also the slope's; p = 0 when |R| = 1.
     """
-    sw = np.sum(w)
-    cx = x - np.sum(w * x) / sw
-    cy = y - np.sum(w * y) / sw
-    vy = np.sum(w * cy**2)
+    sw = math.fsum(w)
+    mx = math.fsum(wi * xi for wi, xi in zip(w, x)) / sw
+    my = math.fsum(wi * yi for wi, yi in zip(w, y)) / sw
+    cx = [xi - mx for xi in x]
+    cy = [yi - my for yi in y]
+    vy = math.fsum(wi * c * c for wi, c in zip(w, cy))
     if vy == 0:
         raise StatsError("y is constant; correlation undefined")
-    r = float(np.sum(w * cx * cy) / math.sqrt(np.sum(w * cx**2) * vy))
+    vx = math.fsum(wi * c * c for wi, c in zip(w, cx))
+    r = math.fsum(wi * a * b for wi, a, b in zip(w, cx, cy)) / math.sqrt(vx * vy)
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         return r, 0.0
-    from scipy.special import stdtr
-
     n = len(x)
     t = r * math.sqrt((n - 2) / (1.0 - r * r))
-    return r, float(2.0 * stdtr(n - 2, -abs(t)))
+    return r, _t_two_sided_p(t, n - 2)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
+def _average_ranks(values: Sequence[float]) -> list[float]:
     """1-based ranks; tied values share the mean of the ranks they span."""
-    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
-    return (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks = [0.0] * len(values)
+    start = 0
+    while start < len(order):
+        end = start + 1
+        while end < len(order) and values[order[end]] == values[order[start]]:
+            end += 1
+        for i in order[start:end]:  # positions start..end-1 hold ranks start+1..end
+            ranks[i] = (start + 1 + end) / 2.0
+        start = end
+    return ranks
 
 
-def _exact_spearman_p(rank_x: np.ndarray, rank_y: np.ndarray, observed_rho: float) -> float:
-    """Two-sided exact permutation p-value on the rank vectors."""
+def _exact_spearman_p(rank_x: list[float], rank_y: list[float], observed_rho: float) -> float:
+    """Two-sided exact permutation p-value on the rank vectors.
+
+    Doubled average ranks are integers, and the statistic is affine in
+    S = sum((2 r_x) (2 r_y[perm])): sum(c_x c_y[perm]) = (S - n (n + 1)^2) / 4.
+    A dynamic program over the set of y positions used so far counts the
+    permutations reaching each partial S: 2^n sets instead of n! orderings.
+    """
     n = len(rank_x)
-    cx = rank_x - rank_x.mean()
-    cy = rank_y - rank_y.mean()
-    denom = math.sqrt(float(np.sum(cx**2)) * float(np.sum(cy**2)))
-    threshold = abs(observed_rho) * denom - 1e-12
-    hits = 0
-    total = 0
-    # The statistic is affine in sum(cx * cy[perm]); enumerate in chunks.
-    perms = itertools.permutations(range(n))
-    while chunk := list(itertools.islice(perms, 100_000)):
-        dots = np.abs(cy[np.array(chunk)] @ cx)
-        hits += int(np.sum(dots >= threshold))
-        total += len(chunk)
-    return hits / total
+    mean = (n + 1) / 2.0
+    denom = math.sqrt(
+        math.fsum((r - mean) ** 2 for r in rank_x) * math.fsum((r - mean) ** 2 for r in rank_y)
+    )
+    bound = 4.0 * (abs(observed_rho) * denom - 1e-12)
+    doubled_x = [int(2 * r) for r in rank_x]
+    doubled_y = [int(2 * r) for r in rank_y]
+    # level[mask] counts the ways to give x positions 0..i-1 the y positions
+    # in mask, by their partial S.
+    level: dict[int, dict[int, int]] = {0: {0: 1}}
+    for rx in doubled_x:
+        following: dict[int, dict[int, int]] = defaultdict(lambda: defaultdict(int))
+        for mask, sums in level.items():
+            for j, ry in enumerate(doubled_y):
+                if mask >> j & 1:
+                    continue
+                target = following[mask | 1 << j]
+                step = rx * ry
+                for s, count in sums.items():
+                    target[s + step] += count
+        level = following
+    (sums,) = level.values()
+    centre = n * (n + 1) ** 2
+    hits = sum(count for s, count in sums.items() if abs(s - centre) >= bound)
+    return hits / math.factorial(n)
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
@@ -136,13 +223,13 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     The p-value uses the exact permutation distribution for n <= 10 and
     the t-approximation with n - 2 degrees of freedom otherwise.
     """
-    ax, ay = _paired(x, y, 3, "spearman")
-    n = len(ax)
-    rank_x = _average_ranks(ax)
-    rank_y = _average_ranks(ay)
-    if np.ptp(rank_x) == 0 or np.ptp(rank_y) == 0:
+    xs, ys = _paired(x, y, 3, "spearman")
+    n = len(xs)
+    rank_x = _average_ranks(xs)
+    rank_y = _average_ranks(ys)
+    if _is_constant(rank_x) or _is_constant(rank_y):
         raise StatsError("zero rank variance: input vector is constant")
-    rho, p = _correlation(rank_x, rank_y, np.ones(n))
+    rho, p = _correlation(rank_x, rank_y, [1.0] * n)
     if n <= EXACT_PERMUTATION_MAX_N:
         p = _exact_spearman_p(rank_x, rank_y, rho)
     return CorrelationResult(rho=rho, p_value=p, n=n)
@@ -150,24 +237,24 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
 
 def ols(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
     """Simple least squares; R is the Pearson correlation of x and y."""
-    ax, ay = _paired(x, y, 3, "ols")
-    if np.ptp(ax) == 0:
+    xs, ys = _paired(x, y, 3, "ols")
+    if _is_constant(xs):
         raise StatsError("x is constant; slope undefined")
-    w = np.ones(len(ax))
-    intercept, slope = _weighted_fit(ax, ay, w)
-    r, p = _correlation(ax, ay, w)
-    return RegressionResult(intercept=intercept, slope=slope, r=r, p_value=p, n=len(ax))
+    w = [1.0] * len(xs)
+    intercept, slope = _weighted_fit(xs, ys, w)
+    r, p = _correlation(xs, ys, w)
+    return RegressionResult(intercept=intercept, slope=slope, r=r, p_value=p, n=len(xs))
 
 
-def _weighted_fit(x: np.ndarray, y: np.ndarray, w: np.ndarray) -> tuple[float, float]:
-    sw = np.sum(w)
-    mx = np.sum(w * x) / sw
-    my = np.sum(w * y) / sw
-    sxx = np.sum(w * (x - mx) ** 2)
+def _weighted_fit(x: list[float], y: list[float], w: list[float]) -> tuple[float, float]:
+    sw = math.fsum(w)
+    mx = math.fsum(wi * xi for wi, xi in zip(w, x)) / sw
+    my = math.fsum(wi * yi for wi, yi in zip(w, y)) / sw
+    sxx = math.fsum(wi * (xi - mx) ** 2 for wi, xi in zip(w, x))
     if sxx == 0:
         raise StatsError("x is constant under the current weights")
-    slope = float(np.sum(w * (x - mx) * (y - my)) / sxx)
-    return float(my - slope * mx), slope
+    slope = math.fsum(wi * (xi - mx) * (yi - my) for wi, xi, yi in zip(w, x, y)) / sxx
+    return my - slope * mx, slope
 
 
 def irls_huber(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
@@ -180,43 +267,40 @@ def irls_huber(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
     drops below 0.95 are reported as outliers, and R is the weighted
     Pearson correlation under the final weights.
     """
-    ax, ay = _paired(x, y, 4, "irls_huber")
-    n = len(ax)
-    if np.ptp(ax) == 0:
+    xs, ys = _paired(x, y, 4, "irls_huber")
+    n = len(xs)
+    if _is_constant(xs):
         raise StatsError("x is constant; slope undefined")
 
-    w = np.ones(n)
-    intercept, slope = _weighted_fit(ax, ay, w)
+    w = [1.0] * n
+    intercept, slope = _weighted_fit(xs, ys, w)
     converged = False
     iterations = 0
     for iterations in range(1, IRLS_MAX_ITER + 1):
-        resid = ay - intercept - slope * ax
+        abs_resid = [abs(yi - intercept - slope * xi) for xi, yi in zip(xs, ys)]
         # MAD about zero: residuals of an intercept model are centered.
-        mad = float(np.median(np.abs(resid)))
-        sigma = mad / MAD_TO_SIGMA
+        sigma = statistics.median(abs_resid) / MAD_TO_SIGMA
         if sigma == 0.0:
-            w = np.ones(n)
+            w = [1.0] * n
             converged = True
             break
-        with np.errstate(divide="ignore"):
-            w = np.minimum(1.0, HUBER_K * sigma / np.abs(resid))
-        w[~np.isfinite(w)] = 1.0
-        new_intercept, new_slope = _weighted_fit(ax, ay, w)
+        w = [min(1.0, HUBER_K * sigma / a) if a else 1.0 for a in abs_resid]
+        new_intercept, new_slope = _weighted_fit(xs, ys, w)
         delta = max(abs(new_intercept - intercept), abs(new_slope - slope))
         intercept, slope = new_intercept, new_slope
         if delta < IRLS_TOL:
             converged = True
             break
 
-    outliers = tuple(int(i) for i in np.flatnonzero(w < OUTLIER_WEIGHT_THRESHOLD))
-    r, p = _correlation(ax, ay, w)
+    outliers = tuple(i for i, wi in enumerate(w) if wi < OUTLIER_WEIGHT_THRESHOLD)
+    r, p = _correlation(xs, ys, w)
     return RegressionResult(
         intercept=intercept,
         slope=slope,
         r=r,
         p_value=p,
         n=n,
-        weights=tuple(float(v) for v in w),
+        weights=tuple(w),
         outliers=outliers,
         converged=converged,
         iterations=iterations,

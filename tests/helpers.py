@@ -6,9 +6,15 @@ binding dicts; ``decode_keys`` decodes the term-id keys of such a map;
 its recursive ``join_card``; ``match_triples`` decodes the id rows of
 ``store.match``; ``scanner_ntriples`` is the N-Triples reader that reads
 every line term by term with the token scanner, the reference for
-``parse_ntriples``.
+``parse_ntriples``; ``average_ranks_by_sorting`` and
+``brute_force_spearman_p`` are the references for the average ranks and the
+exact Spearman p of ``fedcard.stats``.
 """
 
+import itertools
+import math
+import statistics
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from fedcard.expr import Expression, variables
@@ -82,3 +88,27 @@ def scanner_ntriples(text: str) -> list[Triple]:
             raise NTriplesParseError(lineno, f"trailing content {scanner.rest().strip()!r}")
         triples.append(Triple(subject, predicate, obj))
     return triples
+
+
+def average_ranks_by_sorting(values: Sequence[float]) -> list[float]:
+    """Each value's rank: the mean of the 1-based positions its copies take in sorted order."""
+    ordered = sorted(values)
+    return [
+        statistics.fmean(i for i, v in enumerate(ordered, start=1) if v == value)
+        for value in values
+    ]
+
+
+def brute_force_spearman_p(x: Sequence[float], y: Sequence[float]) -> float:
+    """Two-sided exact Spearman p: the share of all n! orderings of y's ranks
+    whose rank covariance with x is at least the observed one in magnitude.
+
+    Centred doubled ranks are integers, so every comparison is exact.
+    """
+    n = len(x)
+    cx, cy = (
+        [int(2 * r) - (n + 1) for r in average_ranks_by_sorting(v)] for v in (x, y)
+    )
+    observed = abs(sum(map(mul, cx, cy)))
+    hits = sum(abs(sum(map(mul, cx, perm))) >= observed for perm in itertools.permutations(cy))
+    return hits / math.factorial(n)

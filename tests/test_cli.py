@@ -75,6 +75,11 @@ TOY_QUERIES = ["--stores", "{ws}/stores", "--queries", "{ws}/fx/toy/queries"]
 CORRELATE = ["correlate", "--runtimes", str(GOLDEN / "bench_runtimes.csv")]
 
 
+# An output path that runs through a file expects (exit code, the start of its one error line).
+NO_DIR = (2, "error: cannot create directory ")
+TOY_A = "{ws}/fx/toy/sources/A.nt"
+
+
 @pytest.mark.parametrize(
     "args, exit_code",
     [
@@ -109,18 +114,42 @@ CORRELATE = ["correlate", "--runtimes", str(GOLDEN / "bench_runtimes.csv")]
             [*CORRELATE, "--results", str(GOLDEN / "bench_results.csv"), "--out", "{ws}/new/dir/r.csv"], 0,
             id="correlate-out-in-a-new-dir",
         ),
+        pytest.param(
+            ["ingest", "--source", "A", "--file", TOY_A, "--out", "{ws}/file/sub"], NO_DIR,
+            id="ingest-out-through-a-file",
+        ),
+        pytest.param(
+            ["summarize", "--stores", "{ws}/stores", "--out", "{ws}/file/sub"], NO_DIR,
+            id="summarize-out-through-a-file",
+        ),
+        pytest.param(["fixtures", "--out", "{ws}/file/sub"], NO_DIR, id="fixtures-out-through-a-file"),
+        pytest.param(
+            ["evaluate", *TOY_QUERIES, "--out", "{ws}/file/r.csv"], NO_DIR,
+            id="evaluate-out-through-a-file",
+        ),
+        pytest.param(
+            [*CORRELATE, "--results", str(GOLDEN / "bench_results.csv"), "--out", "{ws}/file/r.csv"],
+            NO_DIR,
+            id="correlate-out-through-a-file",
+        ),
     ],
 )
 def test_path_mistakes_end_without_a_traceback(runner, workspace, args, exit_code):
-    """A file where a directory belongs, or the reverse, exits 2 before any work;
-    a file output in a directory that does not exist yet gets its directory."""
+    """A file where a directory belongs, or the reverse, exits 2 before any work,
+    and so does an output path that runs through a file; a file output in a
+    directory that does not exist yet gets its directory."""
+    exit_code, error_line = exit_code if isinstance(exit_code, tuple) else (exit_code, None)
     (workspace / "file").write_text("")
     args = [arg.format(ws=workspace) for arg in args]
     result = runner.invoke(main, args)
     assert result.exit_code == exit_code, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)
     assert "Traceback" not in result.output
-    if exit_code:
+    if error_line:
+        (line,) = result.output.splitlines()
+        assert line.startswith(error_line + str(workspace / "file"))
+        assert (workspace / "file").read_text() == ""
+    elif exit_code:
         assert "Usage:" in result.output
     else:
         assert Path(args[-1]).is_file()
@@ -288,7 +317,7 @@ def test_evaluate_rejects_bad_oracle_cap_env(runner, workspace, tmp_path, monkey
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, fedcard.cli; print('scipy' in sys.modules)"
+    code = "import sys, fedcard.cli; print('scipy' in sys.modules or 'numpy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(fedcard.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -7,11 +7,15 @@ reads summary files back, so these pins are what holds their format.
 queries (``bench/gen.py``: ``runtimes_csv(bench_queries(20240, 50), 20240)``).
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import fedcard
 from fedcard.cli import main
 from fedcard.estimators import ENGINE_NAMES
 from fedcard.evaluation import evaluate_queries, rows_to_csv
@@ -48,6 +52,26 @@ def test_bench_correlate_report_matches_golden(tmp_path, method):
     ]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
+    assert out.read_bytes() == (GOLDEN / f"bench_report_{method}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("method", ["spearman", "ols", "irls"])
+def test_bench_correlate_report_without_numpy_or_scipy(tmp_path, method):
+    """The console command, in a process where numpy and scipy cannot be imported."""
+    out = tmp_path / "report.csv"
+    code = (
+        "import sys; sys.modules['numpy'] = sys.modules['scipy'] = None; "
+        "from fedcard.cli import main; main()"
+    )
+    args = [
+        "correlate",
+        "--results", str(GOLDEN / "bench_results.csv"),
+        "--runtimes", str(GOLDEN / "bench_runtimes.csv"),
+        "--method", method,
+        "--out", str(out),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(fedcard.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, check=True)
     assert out.read_bytes() == (GOLDEN / f"bench_report_{method}.csv").read_bytes()
 
 
