@@ -62,12 +62,15 @@ def ingest(source: str, file_path: str, out_dir: str) -> None:
         sys.exit(2)
     out = Path(out_dir)
     _make_dir(out)
+    target = out / f"{source}.store"
+    if target.is_dir():
+        click.echo(f"error: cannot write store file {target}: it is a directory", err=True)
+        sys.exit(2)
     try:
         store = load_ntriples_file(source, path)
     except (NTriplesParseError, UnicodeDecodeError) as exc:
         click.echo(f"error: {path}: {exc}", err=True)
         sys.exit(1)
-    target = out / f"{source}.store"
     save_store(store, target)
     click.echo(f"ingested {store.total_triples} triples from {path} into {target}")
 

@@ -3,18 +3,21 @@
 The reader accepts the W3C N-Triples grammar (IRIs, typed/tagged literals,
 blank nodes, ``#`` comments) and reports syntax errors with 1-based line
 numbers. ``read_ntriples`` turns a document into the shape a store file
-holds: its distinct terms in first-seen order plus three indexes into them
-per triple, duplicates preserved in document order (deduplication happens
-when a store is built). One compiled pattern splits each statement line
-into its three term tokens, and each distinct token text is read once per
-document; a line the pattern does not take is read by the token scanner,
-which reports the error. ``parse_ntriples`` returns the same triples as
-``Triple`` objects.
+holds: its distinct terms as canonical tokens in first-seen order plus
+three indexes into them per triple, duplicates preserved in document order
+(deduplication happens when a store is built). One compiled pattern splits
+each statement line into its three term tokens, and each distinct token
+text is read once per document; a line the pattern does not take is read
+by the token scanner, which reports the error. ``parse_ntriples`` returns
+the same triples as ``Triple`` objects.
 ``parse_term`` reads a single term token with the same scanner, and
 ``scan_term`` one token inside a line; together they are the one term
 reader of store files and queries.
-``format_term`` writes tokens that ``parse_term`` reads back to an equal
-term, escaping in IRIs every character N-Triples forbids there.
+``format_term`` writes a term's canonical token, which ``parse_term`` reads
+back to an equal term, escaping in IRIs every character N-Triples forbids
+there. ``canonical_token`` maps any spelling of a term to that token; two
+tokens name the same term exactly when their canonical tokens are equal,
+so the store's term dictionary is keyed by them.
 """
 
 from __future__ import annotations
@@ -303,36 +306,41 @@ def _read_line(line: str, lineno: int) -> tuple[Term, Term, Term]:
     return subject, predicate, obj
 
 
-def read_ntriples(text: str) -> tuple[list[Term], list[int]]:
+def read_ntriples(text: str) -> tuple[list[str], list[int]]:
     """Read N-Triples text into its distinct terms and their per-triple indexes.
 
-    Returns the document's distinct terms in first-seen order and a flat
-    list of indexes into them, three per triple, in document order with
-    duplicates preserved. Raises NTriplesParseError with a 1-based line
-    number on bad input.
+    Returns the document's distinct terms as canonical tokens
+    (``canonical_token``) in first-seen order, and a flat list of indexes
+    into them, three per triple, in document order with duplicates
+    preserved; two spellings of one term share an index. Raises
+    NTriplesParseError with a 1-based line number on bad input.
     """
-    terms: list[Term] = []
-    by_token: dict[str, int] = {}  # token text -> index into terms
-    by_term: dict[Term, int] = {}  # so two spellings of one term share an index
+    tokens: list[str] = []
+    # Token text -> index into tokens, for every spelling read so far; a
+    # canonical token is a spelling of its own term, so one map serves both.
+    index: dict[str, int] = {}
     flat: list[int] = []
 
-    def index_of(term: Term) -> int:
-        found = by_term.get(term)
+    def index_of(canonical: str) -> int:
+        found = index.get(canonical)
         if found is None:
-            found = by_term[term] = len(terms)
-            terms.append(term)
+            found = index[canonical] = len(tokens)
+            tokens.append(canonical)
         return found
 
-    def read_tokens(line: str, lineno: int, tokens: tuple[str, ...]) -> list[int]:
+    def read_line(line: str, lineno: int) -> list[int]:
+        return [index_of(format_term(term)) for term in _read_line(line, lineno)]
+
+    def read_tokens(line: str, lineno: int, spellings: tuple[str, ...]) -> list[int]:
         indexes = []
-        for token in tokens:
-            found = by_token.get(token)
+        for token in spellings:
+            found = index.get(token)
             if found is None:
                 try:
-                    term = parse_term(token)
+                    canonical = canonical_token(token)
                 except NTriplesParseError:
-                    return list(map(index_of, _read_line(line, lineno)))
-                found = by_token[token] = index_of(term)
+                    return read_line(line, lineno)
+                found = index[token] = index_of(canonical)
             indexes.append(found)
         return indexes
 
@@ -343,14 +351,36 @@ def read_ntriples(text: str) -> tuple[list[Term], list[int]]:
             continue
         m = statement(line)
         if m is None:
-            flat += map(index_of, _read_line(line, lineno))
+            flat += read_line(line, lineno)
             continue
         s, p, o = m.groups()
         try:
-            flat += (by_token[s], by_token[p], by_token[o])
+            flat += (index[s], index[p], index[o])
         except KeyError:
             flat += read_tokens(line, lineno, (s, p, o))
-    return terms, flat
+    return tokens, flat
+
+
+def _is_plain_iri(token: str) -> bool:
+    """Whether a string is a non-empty IRI token with no escape and no
+    forbidden character: its own canonical token, and ``<lexical>``."""
+    return (
+        len(token) > 2
+        and token[0] == "<"
+        and token[-1] == ">"
+        and not _IRI_FORBIDDEN.search(token, 1, len(token) - 1)
+    )
+
+
+def canonical_token(token: str) -> str:
+    """The canonical spelling of a term token: ``format_term(parse_term(token))``.
+
+    A plain IRI token is returned as it is, with no ``Term`` built. Raises
+    NTriplesParseError, as ``parse_term`` does, for a bad token.
+    """
+    if isinstance(token, str) and _is_plain_iri(token):
+        return token
+    return format_term(parse_term(token))
 
 
 def parse_term(token: str) -> Term:
@@ -361,14 +391,7 @@ def parse_term(token: str) -> Term:
     """
     if not isinstance(token, str):
         raise NTriplesParseError(1, f"term token must be a string, got {token!r}")
-    # A non-empty IRI token with no escape and no forbidden character is its
-    # own lexical form.
-    if (
-        len(token) > 2
-        and token[0] == "<"
-        and token[-1] == ">"
-        and not _IRI_FORBIDDEN.search(token, 1, len(token) - 1)
-    ):
+    if _is_plain_iri(token):
         return Term(TermKind.IRI, token[1:-1])
     term, end = scan_term(token, 0)
     if end != len(token):
@@ -389,14 +412,15 @@ def scan_term(line: str, pos: int, lineno: int = 1) -> tuple[Term, int]:
 
 def parse_ntriples(text: str) -> list[Triple]:
     """Parse N-Triples text into a list of triples, duplicates preserved."""
-    terms, flat = read_ntriples(text)
+    tokens, flat = read_ntriples(text)
+    terms = list(map(parse_term, tokens))
     return [
         Triple(terms[s], terms[p], terms[o]) for s, p, o in zip(flat[0::3], flat[1::3], flat[2::3])
     ]
 
 
 def format_term(term: Term) -> str:
-    """Serialize a term back to its N-Triples token."""
+    """Serialize a term to its canonical N-Triples token."""
     if term.kind is TermKind.IRI:
         return f"<{_escape_iri(term.lexical)}>"
     if term.kind is TermKind.BLANK:

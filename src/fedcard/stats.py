@@ -36,6 +36,9 @@ BAND_LABELS = ("very weak", "weak", "moderate", "strong", "very strong")
 BETA_EPS = 1e-16
 BETA_TINY = 1e-300
 BETA_MAX_ITER = 10_000
+# From here up, log B(a, b) takes lgamma(a + b) - lgamma(a) from Stirling's
+# series; the first term it leaves out, 691 / (360360 z^11), is below 1e-17.
+STIRLING_MIN = 20.0
 
 
 class StatsError(ValueError):
@@ -97,12 +100,40 @@ def _is_constant(values: Sequence[float]) -> bool:
     return max(values) == min(values)
 
 
+def _stirling_remainder(z: float) -> float:
+    """lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2), for z >= STIRLING_MIN."""
+    w = 1.0 / (z * z)
+    return (1.0 / 12 - w * (1.0 / 360 - w * (1.0 / 1260 - w * (1.0 / 1680 - w / 1188)))) / z
+
+
+def _log_beta(a: float, b: float) -> float:
+    """log B(a, b), accurate when the larger argument is large.
+
+    lgamma(a + b) - lgamma(a) cancels for large a and keeps about 1e-16 of
+    lgamma(a) as error. Stirling's formula gives the difference directly:
+    b log a + (a + b - 1/2) log1p(b / a) - b plus the remainders' difference.
+    """
+    small, large = min(a, b), max(a, b)
+    if large < STIRLING_MIN:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    log_ratio = (  # lgamma(large + small) - lgamma(large)
+        small * math.log(large)
+        + (large + small - 0.5) * math.log1p(small / large)
+        - small
+        + _stirling_remainder(large + small)
+        - _stirling_remainder(large)
+    )
+    return math.lgamma(small) - log_ratio
+
+
 def _regularized_beta(a: float, b: float, x: float, y: float) -> float:
     """I_x(a, b), the regularized incomplete beta function, with y = 1 - x.
 
     y is passed separately so that a caller can supply it without the
-    cancellation of 1 - x. The continued fraction (modified Lentz) converges
-    fast for x < (a + 1) / (a + b + 2); above that I_x(a, b) = 1 - I_y(b, a).
+    cancellation of 1 - x; log x near x = 1 is taken as log1p(-y), and
+    log y near y = 1 as log1p(-x). The continued fraction (modified Lentz)
+    converges fast for x < (a + 1) / (a + b + 2); above that
+    I_x(a, b) = 1 - I_y(b, a).
     """
     if x <= 0.0:
         return 0.0
@@ -110,24 +141,39 @@ def _regularized_beta(a: float, b: float, x: float, y: float) -> float:
         return 1.0
     if x > (a + 1.0) / (a + b + 2.0):
         return 1.0 - _regularized_beta(b, a, y, x)
-    log_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log(y)
-    )
-    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
-    d = 1.0 / (d if abs(d) > BETA_TINY else BETA_TINY)
+    log_x = math.log1p(-y) if x > 0.5 else math.log(x)
+    log_y = math.log1p(-x) if y > 0.5 else math.log(y)
+    log_front = a * log_x + b * log_y - _log_beta(a, b)
+
+    def odd_denominator(m: int) -> float:
+        """1 - (a + m)(a + b + m) x / ((a + 2m)(a + 2m + 1)): one plus the
+        odd partial numerator. For x near 1 the subtraction would lose about
+        log10(1 / y) digits, so it is written in y, as
+        (a (2m + 1 - b) + m (3m + 2 - b) + (a + m)(a + b + m) y) / (...)."""
+        top, bottom = (a + m) * (a + b + m), (a + 2 * m) * (a + 2 * m + 1)
+        if x > 0.5:
+            return (a * (2 * m + 1 - b) + m * (3 * m + 2 - b) + top * y) / bottom
+        return 1.0 - top * x / bottom
+
+    # Modified Lentz over pairs of steps, the even then the odd one: with
+    # u = even * d and v = even / c, the pair multiplies the fraction by
+    # (odd + v) / (odd + u) and leaves c = (odd + v) / (1 + v) and
+    # d = (1 + u) / (odd + u), where odd is odd_denominator(m); so the odd
+    # numerator is needed only as one plus itself.
+    d = odd_denominator(0)
+    c, d = 1.0, 1.0 / (d if abs(d) > BETA_TINY else BETA_TINY)
     fraction = d
     for m in range(1, BETA_MAX_ITER + 1):
-        # Even step, then odd step, of the continued fraction.
-        for numerator in (
-            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
-            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
-        ):
-            d = 1.0 + numerator * d
-            d = 1.0 / (d if abs(d) > BETA_TINY else BETA_TINY)
-            c = 1.0 + numerator / c
-            c = c if abs(c) > BETA_TINY else BETA_TINY
-            factor = c * d
-            fraction *= factor
+        even = m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m))
+        odd = odd_denominator(m)
+        u, v = even * d, even / c
+        below, over = odd + u, 1.0 + v
+        below = below if abs(below) > BETA_TINY else BETA_TINY
+        over = over if abs(over) > BETA_TINY else BETA_TINY
+        factor = (odd + v) / below
+        fraction *= factor
+        c, d = (odd + v) / over, (1.0 + u) / below
+        c = c if abs(c) > BETA_TINY else BETA_TINY
         if abs(factor - 1.0) < BETA_EPS:
             return math.exp(log_front) * fraction / a
     raise StatsError(f"incomplete beta I_x({a}, {b}) did not converge at x = {x}")

@@ -1,7 +1,10 @@
 """Immutable per-source triple collections over integer term ids.
 
 Every term is interned to a process-wide integer id on first sight, so
-equal terms in different stores share one id. A store holds its
+equal terms in different stores share one id. The dictionary is keyed by
+the term's canonical N-Triples token (``format_term``, ``canonical_token``),
+so ingest, save and load move strings and ids only; ``term_of`` decodes a
+token to a ``Term`` on first request and keeps it. A store holds its
 deduplicated ``(s, p, o)`` id rows in first-seen order, keeps one index,
 by predicate, and precomputes the per-predicate distinct-subject /
 distinct-object tables that the statistics summaries read off. Terms are
@@ -12,11 +15,12 @@ Matching is exact: the length of ``match`` is the real cardinality of a
 pattern in this source, and each distinct pattern is scanned once per
 store.
 
-A store file (format 2) is one JSON document: the store's own term tokens
-in first-seen order, written by ``format_term``, and a flat list of
-indexes into them, three per triple. N-Triples ingest reads a document
-into the same shape (``read_ntriples``), and both end in one helper that
-interns each distinct term once and builds the store.
+A store file (format 2) is one JSON document: the store's own canonical
+term tokens in first-seen order and a flat list of indexes into them,
+three per triple. N-Triples ingest reads a document into the same shape
+(``read_ntriples``), loading brings each token to its canonical form, and
+both end in one helper that interns each distinct token once and builds
+the store.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from typing import Iterable, Mapping, Sequence
 from .ntriples import (
     NTriplesParseError,
     Term,
-    TermKind,
     Triple,
+    canonical_token,
     format_term,
     parse_term,
     read_ntriples,
@@ -44,34 +48,46 @@ STORE_FORMAT_VERSION = 2
 
 IdRow = tuple[int, int, int]
 
-# The process-wide term dictionary: id -> term and term -> id. Both only
-# grow; the lock serialises misses so that equal terms never get two ids.
-_TERMS: list[Term] = []
-_IDS: dict[Term, int] = {}
+# The process-wide term dictionary over canonical tokens: id -> token and
+# token -> id. Both only grow; the lock serialises misses so that equal
+# terms never get two ids. _DECODED holds the Term of each id decoded so
+# far, so that every reader of one id shares one Term.
+_TOKENS: list[str] = []
+_IDS: dict[str, int] = {}
+_DECODED: dict[int, Term] = {}
 _INTERN_LOCK = threading.Lock()
+
+
+def _intern(token: str) -> int:
+    """The process-wide id of a canonical token, assigned on first sight."""
+    found = _IDS.get(token)
+    if found is None:
+        with _INTERN_LOCK:
+            found = _IDS.get(token)
+            if found is None:
+                # Append before publishing, so whoever reads the id finds the token.
+                _TOKENS.append(token)
+                found = _IDS[token] = len(_TOKENS) - 1
+    return found
 
 
 def term_id(term: Term) -> int:
     """The process-wide id of ``term``, assigned on first sight."""
-    found = _IDS.get(term)
-    if found is None:
-        with _INTERN_LOCK:
-            found = _IDS.get(term)
-            if found is None:
-                # Append before publishing, so whoever reads the id finds the term.
-                _TERMS.append(term)
-                found = _IDS[term] = len(_TERMS) - 1
-    return found
+    return _intern(format_term(term))
 
 
 def term_of(term_id: int) -> Term:
-    """The term behind a process-wide id."""
-    return _TERMS[term_id]
+    """The term behind a process-wide id, decoded once and then shared."""
+    term = _DECODED.get(term_id)
+    if term is None:
+        # setdefault: a racing first decode still leaves one Term per id.
+        term = _DECODED.setdefault(term_id, parse_term(_TOKENS[term_id]))
+    return term
 
 
 def _triple(row: IdRow) -> Triple:
     s, p, o = row
-    return Triple(_TERMS[s], _TERMS[p], _TERMS[o])
+    return Triple(term_of(s), term_of(p), term_of(o))
 
 
 class TripleStore:
@@ -87,7 +103,7 @@ class TripleStore:
 
         # Per-predicate stats, keyed by predicate IRI string.
         subject_of, object_of = itemgetter(0), itemgetter(2)
-        by_iri = {_TERMS[p].lexical: rows for p, rows in self._by_predicate.items()}
+        by_iri = {term_of(p).lexical: rows for p, rows in self._by_predicate.items()}
         self.predicate_triples: Mapping[str, int] = {p: len(rows) for p, rows in by_iri.items()}
         self.predicate_distinct_subjects: Mapping[str, int] = {
             p: len(set(map(subject_of, rows))) for p, rows in by_iri.items()
@@ -157,7 +173,7 @@ def _scan(store: TripleStore, pattern: TriplePattern) -> tuple[IdRow, ...]:
             if earlier != position:
                 same.append((position, earlier))
         else:
-            found = _IDS.get(slot)
+            found = _IDS.get(format_term(slot))
             if found is None:  # a term never interned occurs in no store
                 return ()
             if position == 1:
@@ -175,9 +191,9 @@ def _scan(store: TripleStore, pattern: TriplePattern) -> tuple[IdRow, ...]:
     )
 
 
-def _store_from(source_name: str, terms: Sequence[Term], flat: Sequence[int]) -> TripleStore:
-    """The store of ``flat``, three indexes into ``terms`` per triple."""
-    ids = list(map(term_id, terms))
+def _store_from(source_name: str, tokens: Sequence[str], flat: Sequence[int]) -> TripleStore:
+    """The store of ``flat``, three indexes into canonical ``tokens`` per triple."""
+    ids = list(map(_intern, tokens))
     row_ids = list(map(ids.__getitem__, flat))
     return TripleStore(source_name, zip(row_ids[0::3], row_ids[1::3], row_ids[2::3]))
 
@@ -190,8 +206,8 @@ def load_ntriples_file(source_name: str, path: str | Path) -> TripleStore:
 def save_store(store: TripleStore, path: str | Path) -> None:
     """Persist a store as a version-2 JSON document.
 
-    ``terms`` holds the store's term tokens in first-seen order and
-    ``triples`` the flat list of their indexes, three per triple.
+    ``terms`` holds the store's canonical term tokens in first-seen order
+    and ``triples`` the flat list of their indexes, three per triple.
     """
     flat = list(chain.from_iterable(store.rows))
     local = {g: i for i, g in enumerate(dict.fromkeys(flat))}
@@ -199,7 +215,7 @@ def save_store(store: TripleStore, path: str | Path) -> None:
         "format_version": STORE_FORMAT_VERSION,
         "source": store.source_name,
         "triple_count": store.total_triples,
-        "terms": [format_term(_TERMS[g]) for g in local],
+        "terms": list(map(_TOKENS.__getitem__, local)),
         "triples": list(map(local.__getitem__, flat)),
     }
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
@@ -208,8 +224,10 @@ def save_store(store: TripleStore, path: str | Path) -> None:
 def load_store(path: str | Path) -> TripleStore:
     """Read a version-2 store file, checking every term token and every index.
 
-    Raises ValueError, naming the file and the bad entry, for anything
-    ``save_store`` would not have written.
+    Each token is brought to its canonical form, so a term spelled with
+    escapes gets the id of its plain spelling. Raises ValueError, naming the
+    file and the bad entry, for anything ``save_store`` would not have
+    written.
     """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     version = doc.get("format_version") if isinstance(doc, dict) else None
@@ -224,10 +242,10 @@ def load_store(path: str | Path) -> TripleStore:
     if not (isinstance(source, str) and isinstance(tokens, list) and isinstance(flat, list)):
         raise ValueError(f"store file {path} lacks a 'source' string or a 'terms'/'triples' list")
 
-    terms = []
+    terms = []  # canonical tokens
     for index, token in enumerate(tokens):
         try:
-            terms.append(parse_term(token))
+            terms.append(canonical_token(token))
         except NTriplesParseError as exc:
             raise ValueError(f"{path}: terms[{index}]: {exc.reason}") from None
     if len(flat) % 3:
@@ -238,8 +256,9 @@ def load_store(path: str | Path) -> TripleStore:
     if not set(map(type, flat)) <= {int} or (flat and not 0 <= min(flat) <= max(flat) < len(terms)):
         bad = next(i for i, x in enumerate(flat) if type(x) is not int or not 0 <= x < len(terms))
         raise ValueError(f"{path}: triples[{bad}]: {flat[bad]!r} is not an index into 'terms'")
-    literals = {i for i, t in enumerate(terms) if t.kind is TermKind.LITERAL}
-    non_iris = {i for i, t in enumerate(terms) if t.kind is not TermKind.IRI}
+    # A canonical token's first character gives its kind: <, _ or ".
+    literals = {i for i, t in enumerate(terms) if t[0] == '"'}
+    non_iris = {i for i, t in enumerate(terms) if t[0] != "<"}
     for start, invalid, message in (
         (0, literals, "literal subject is not valid RDF"),
         (1, non_iris, "predicate must be an IRI"),

@@ -76,7 +76,7 @@ CORRELATE = ["correlate", "--runtimes", str(GOLDEN / "bench_runtimes.csv")]
 
 
 # An output path that runs through a file expects (exit code, the start of its one error line).
-NO_DIR = (2, "error: cannot create directory ")
+NO_DIR = (2, "error: cannot create directory {ws}/file")
 TOY_A = "{ws}/fx/toy/sources/A.nt"
 
 
@@ -132,6 +132,11 @@ TOY_A = "{ws}/fx/toy/sources/A.nt"
             NO_DIR,
             id="correlate-out-through-a-file",
         ),
+        pytest.param(
+            ["ingest", "--source", "dir", "--file", TOY_A, "--out", "{ws}"],
+            (2, "error: cannot write store file {ws}/dir.store: it is a directory"),
+            id="ingest-store-is-a-directory",
+        ),
     ],
 )
 def test_path_mistakes_end_without_a_traceback(runner, workspace, args, exit_code):
@@ -140,6 +145,7 @@ def test_path_mistakes_end_without_a_traceback(runner, workspace, args, exit_cod
     directory that does not exist yet gets its directory."""
     exit_code, error_line = exit_code if isinstance(exit_code, tuple) else (exit_code, None)
     (workspace / "file").write_text("")
+    (workspace / "dir.store").mkdir()
     args = [arg.format(ws=workspace) for arg in args]
     result = runner.invoke(main, args)
     assert result.exit_code == exit_code, result.output
@@ -147,7 +153,7 @@ def test_path_mistakes_end_without_a_traceback(runner, workspace, args, exit_cod
     assert "Traceback" not in result.output
     if error_line:
         (line,) = result.output.splitlines()
-        assert line.startswith(error_line + str(workspace / "file"))
+        assert line.startswith(error_line.format(ws=workspace))
         assert (workspace / "file").read_text() == ""
     elif exit_code:
         assert "Usage:" in result.output

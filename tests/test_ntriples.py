@@ -10,6 +10,7 @@ from fedcard.ntriples import (
     NTriplesParseError,
     TermKind,
     blank,
+    canonical_token,
     format_term,
     format_triple,
     iri,
@@ -180,8 +181,8 @@ def test_read_ntriples_gives_distinct_terms_and_their_indexes():
         "_:b <http://x/p> <http://x/\\u0041> .\n"
         '<http://x/A> <http://x/p> "v" .'
     )
-    terms, flat = read_ntriples(text)
-    assert terms == [iri("http://x/A"), iri("http://x/p"), literal("v"), blank("b")]
+    tokens, flat = read_ntriples(text)
+    assert tokens == ["<http://x/A>", "<http://x/p>", '"v"', "_:b"]
     assert flat == [0, 1, 2, 3, 1, 0, 0, 1, 2]
 
 
@@ -316,6 +317,21 @@ def test_parse_term_agrees_with_the_scanner(token):
         return term
 
     assert _outcome(parse_term, token) == _outcome(scanned, token)
+
+
+_CANONICAL_GOOD = _GOOD_IRIS + _GOOD_BLANKS + _GOOD_LITERALS + ['"a\\u0041"@en-GB', '"é"^^<http://x/\\u0041>']
+
+
+@pytest.mark.parametrize(
+    "token", [*_CANONICAL_GOOD, *_TOKENS, 42, None, "", "<http://x/a> ", '"x"^^<>']
+)
+def test_canonical_token_is_format_term_of_parse_term(token):
+    """Same token for a good token, same reason for a bad one or a non-string."""
+    assert _outcome(canonical_token, token) == _outcome(lambda t: format_term(parse_term(t)), token)
+    if token in _CANONICAL_GOOD:
+        canonical = canonical_token(token)
+        assert canonical_token(canonical) == canonical
+        assert parse_term(canonical) == parse_term(token)
 
 
 _GOOD_LINES = [

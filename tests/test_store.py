@@ -221,3 +221,48 @@ def test_version_1_store_asks_to_reingest(tmp_path):
     path.write_text(json.dumps({"format_version": 1, "source": "A", "triples": []}))
     with pytest.raises(ValueError, match="re-run `fedcard ingest`"):
         load_store(path)
+
+
+def _write_store_file(path, terms, triples):
+    path.write_text(json.dumps({"format_version": 2, "source": path.stem, "terms": terms, "triples": triples}))
+
+
+def test_escaped_spelling_loads_to_the_plain_spelling_id(tmp_path):
+    plain, escaped = tmp_path / "P.store", tmp_path / "E.store"
+    _write_store_file(plain, ["<http://x/A>", "<http://x/p>", "<http://x/o>"], [0, 1, 2])
+    _write_store_file(escaped, ["<http://x/\\u0041>", "<http://x/p>", '"\\u0041"'], [0, 1, 2])
+    first, second = load_store(plain), load_store(escaped)
+    assert second.rows[0][0] == first.rows[0][0]
+    assert term_of(second.rows[0][0]) == iri("http://x/A")
+    save_store(second, tmp_path / "again.store")
+    assert json.loads((tmp_path / "again.store").read_text())["terms"] == [
+        "<http://x/A>", "<http://x/p>", '"A"'
+    ]
+
+
+def test_term_of_decodes_each_id_to_one_shared_term(tmp_path, toy1):
+    save_store(toy1, tmp_path / "A.store")
+    loaded = load_store(tmp_path / "A.store")
+    for row in loaded.rows:
+        for i in row:
+            assert term_of(i) is term_of(i)
+    first, again = loaded.triples, loaded.triples
+    for x, y in zip(first, again):
+        assert x.subject is y.subject and x.predicate is y.predicate and x.object is y.object
+
+
+@pytest.mark.parametrize(
+    "terms, message",
+    [
+        (['"\\u003Chttp://x/a\\u003E"', "<http://x/p>", "<http://x/o>"], "triples[0]: literal subject is not valid RDF"),
+        (['"a"@en', "<http://x/p>", "<http://x/o>"], "triples[0]: literal subject is not valid RDF"),
+        (["<http://x/a>", "_:p", "<http://x/o>"], "triples[1]: predicate must be an IRI"),
+        (["<http://x/a>", '"\\u003Chttp://x/p\\u003E"', "<http://x/o>"], "triples[1]: predicate must be an IRI"),
+    ],
+)
+def test_literal_subject_and_non_iri_predicate_are_rejected(tmp_path, terms, message):
+    path = tmp_path / "A.store"
+    _write_store_file(path, terms, [0, 1, 2])
+    with pytest.raises(ValueError) as err:
+        load_store(path)
+    assert str(err.value) == f"{path}: {message}"
