@@ -73,7 +73,9 @@ def _intern(token: str) -> int:
 
 def term_id(term: Term) -> int:
     """The process-wide id of ``term``, assigned on first sight."""
-    return _intern(format_term(term))
+    found = _intern(format_term(term))
+    _DECODED.setdefault(found, term)  # so term_of need not parse it back
+    return found
 
 
 def term_of(term_id: int) -> Term:

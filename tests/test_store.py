@@ -223,14 +223,18 @@ def test_version_1_store_asks_to_reingest(tmp_path):
         load_store(path)
 
 
+SPO = ["<http://x/a>", "<http://x/p>", "<http://x/o>"]
+
+
 def _write_store_file(path, terms, triples):
-    path.write_text(json.dumps({"format_version": 2, "source": path.stem, "terms": terms, "triples": triples}))
+    doc = {"format_version": 2, "source": path.stem, "terms": terms, "triples": triples}
+    path.write_text(json.dumps(doc))
 
 
 def test_escaped_spelling_loads_to_the_plain_spelling_id(tmp_path):
     plain, escaped = tmp_path / "P.store", tmp_path / "E.store"
-    _write_store_file(plain, ["<http://x/A>", "<http://x/p>", "<http://x/o>"], [0, 1, 2])
-    _write_store_file(escaped, ["<http://x/\\u0041>", "<http://x/p>", '"\\u0041"'], [0, 1, 2])
+    _write_store_file(plain, ["<http://x/A>", *SPO[1:]], [0, 1, 2])
+    _write_store_file(escaped, ["<http://x/\\u0041>", SPO[1], '"\\u0041"'], [0, 1, 2])
     first, second = load_store(plain), load_store(escaped)
     assert second.rows[0][0] == first.rows[0][0]
     assert term_of(second.rows[0][0]) == iri("http://x/A")
@@ -240,9 +244,12 @@ def test_escaped_spelling_loads_to_the_plain_spelling_id(tmp_path):
     ]
 
 
-def test_term_of_decodes_each_id_to_one_shared_term(tmp_path, toy1):
-    save_store(toy1, tmp_path / "A.store")
-    loaded = load_store(tmp_path / "A.store")
+def test_term_of_decodes_each_id_to_one_shared_term(tmp_path):
+    # Tokens no other test interns, so that term_of decodes each one here.
+    path = tmp_path / "D.store"
+    terms = ["<http://decode/s>", "<http://decode/p>", '"v"@en-GB', "_:decode1"]
+    _write_store_file(path, terms, [0, 1, 2, 3, 1, 0])
+    loaded = load_store(path)
     for row in loaded.rows:
         for i in row:
             assert term_of(i) is term_of(i)
@@ -254,10 +261,10 @@ def test_term_of_decodes_each_id_to_one_shared_term(tmp_path, toy1):
 @pytest.mark.parametrize(
     "terms, message",
     [
-        (['"\\u003Chttp://x/a\\u003E"', "<http://x/p>", "<http://x/o>"], "triples[0]: literal subject is not valid RDF"),
-        (['"a"@en', "<http://x/p>", "<http://x/o>"], "triples[0]: literal subject is not valid RDF"),
-        (["<http://x/a>", "_:p", "<http://x/o>"], "triples[1]: predicate must be an IRI"),
-        (["<http://x/a>", '"\\u003Chttp://x/p\\u003E"', "<http://x/o>"], "triples[1]: predicate must be an IRI"),
+        (['"\\u003Chttp://x/a\\u003E"', *SPO[1:]], "triples[0]: literal subject is not valid RDF"),
+        (['"a"@en', *SPO[1:]], "triples[0]: literal subject is not valid RDF"),
+        ([SPO[0], "_:p", SPO[2]], "triples[1]: predicate must be an IRI"),
+        ([SPO[0], '"\\u003Chttp://x/p\\u003E"', SPO[2]], "triples[1]: predicate must be an IRI"),
     ],
 )
 def test_literal_subject_and_non_iri_predicate_are_rejected(tmp_path, terms, message):
