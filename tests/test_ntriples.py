@@ -319,16 +319,14 @@ def test_parse_term_agrees_with_the_scanner(token):
     assert _outcome(parse_term, token) == _outcome(scanned, token)
 
 
-_CANONICAL_GOOD = _GOOD_IRIS + _GOOD_BLANKS + _GOOD_LITERALS + ['"a\\u0041"@en-GB', '"é"^^<http://x/\\u0041>']
+_MORE_GOOD = ['"a\\u0041"@en-GB', '"é"^^<http://x/\\u0041>']
 
 
-@pytest.mark.parametrize(
-    "token", [*_CANONICAL_GOOD, *_TOKENS, 42, None, "", "<http://x/a> ", '"x"^^<>']
-)
+@pytest.mark.parametrize("token", [*_TOKENS, *_MORE_GOOD, 42, None, "", "<http://x/a> "])
 def test_canonical_token_is_format_term_of_parse_term(token):
     """Same token for a good token, same reason for a bad one or a non-string."""
     assert _outcome(canonical_token, token) == _outcome(lambda t: format_term(parse_term(t)), token)
-    if token in _CANONICAL_GOOD:
+    if token in _GOOD_IRIS + _GOOD_BLANKS + _GOOD_LITERALS + _MORE_GOOD:
         canonical = canonical_token(token)
         assert canonical_token(canonical) == canonical
         assert parse_term(canonical) == parse_term(token)
