@@ -128,14 +128,7 @@ def evaluate(stores_dir, queries_dir, engines, out_path, oracle_cap, seed) -> No
     """Evaluate every query under every engine; write the results CSV."""
     del seed  # the pipeline is deterministic; the flag pins the contract
     engine_names = _parse_engines(engines)
-    stores = _load_stores(stores_dir)
-    queries = {}
-    for path in sorted(Path(queries_dir).glob("*.rq")):
-        try:
-            queries[path.stem] = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            click.echo(f"error: {path}: {exc}", err=True)
-            sys.exit(1)
+    # A bad cap is a usage error (exit 2) whatever the stores hold, so check it first.
     if oracle_cap is not None and oracle_cap < 1:
         click.echo(f"error: --oracle-cap must be a positive integer, got {oracle_cap}", err=True)
         sys.exit(2)
@@ -144,6 +137,14 @@ def evaluate(stores_dir, queries_dir, engines, out_path, oracle_cap, seed) -> No
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
+    stores = _load_stores(stores_dir)
+    queries = {}
+    for path in sorted(Path(queries_dir).glob("*.rq")):
+        try:
+            queries[path.stem] = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            click.echo(f"error: {path}: {exc}", err=True)
+            sys.exit(1)
     _make_dir(Path(out_path).parent)
     rows = evaluate_queries(queries, engine_names, stores, cap=cap)
     write_results_csv(rows, out_path)

@@ -1,4 +1,8 @@
-"""Cardinality estimators of the five cost-based federation engines."""
+"""Cardinality estimators of the five cost-based federation engines.
+
+Every float sum over a set of sources is a ``math.fsum``: it is exactly
+rounded, so no estimate depends on the (hash-seeded) order of a frozenset.
+"""
 
 from __future__ import annotations
 

@@ -84,12 +84,7 @@ class PlanEstimates:
 
     tp_est: dict[int, float] = field(default_factory=dict)
     join_est: list[float] = field(default_factory=list)
-    tp_fallback: dict[int, bool] = field(default_factory=dict)
-    join_fallback: list[bool] = field(default_factory=list)
-
-    @property
-    def fallback_used(self) -> bool:
-        return any(self.tp_fallback.values()) or any(self.join_fallback)
+    fallback_used: bool = False  # some node's estimate took the engine's fallback
 
 
 class CardinalityEstimator:
@@ -174,14 +169,14 @@ class CardinalityEstimator:
                 card, fb = self._leaf_card_flagged(node.pattern)
                 card = _checked(card)
                 est.tp_est[node.pattern.ordinal] = card
-                est.tp_fallback[node.pattern.ordinal] = fb
+                est.fallback_used |= fb
                 return card
             left = rec(node.left)
             right = rec(node.right)
             card, fb = self._join_card_flagged(node, left, right)
             card = _checked(card)
             est.join_est.append(card)
-            est.join_fallback.append(fb)
+            est.fallback_used |= fb
             return card
 
         rec(plan)

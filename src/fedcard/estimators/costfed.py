@@ -28,7 +28,7 @@ class CostFedEstimator(CardinalityEstimator):
         if not tp.variables():
             return 1.0
         void = self.summaries.void
-        return sum(void_leaf_card(tp, void.source(name)) for name in sources)
+        return math.fsum(void_leaf_card(tp, void.source(name)) for name in sources)
 
     def multivalued_factor(
         self, expr: Expression, card: float, edges: tuple[JoinEdge, ...]

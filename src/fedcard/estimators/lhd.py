@@ -9,6 +9,7 @@ cardinalities by one selectivity factor per join edge.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from ..expr import Expression, patterns as expr_patterns
@@ -22,15 +23,15 @@ def _triples_per_value(
 ) -> float:
     """Numerator of a bound-slot selectivity: triples per distinct value at
     the position, summed over the sources (the predicate's triples if bound)."""
-    num = 0.0
+    terms = []
     for src in srcs:
         stats = src if predicate is None else src.predicates.get(predicate)
         if stats is None:
             continue
         distinct = stats.distinct_subjects if position == "s" else stats.distinct_objects
         if distinct:
-            num += stats.triples / distinct
-    return num
+            terms.append(stats.triples / distinct)
+    return math.fsum(terms)
 
 
 class LhdEstimator(CardinalityEstimator):

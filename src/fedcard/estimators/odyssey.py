@@ -9,6 +9,7 @@ min-selectivity join (leaves to the LHD formula) and are flagged.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 from ..expr import Expression, Join, patterns as expr_patterns
@@ -29,7 +30,6 @@ class OdysseyEstimator(CardinalityEstimator):
     def star_card(
         self,
         predicates: Sequence[str] | frozenset[str],
-        distinct: bool = False,
         sources: Optional[frozenset[str]] = None,
     ) -> float:
         """Cardinality of a subject-rooted star over a bound predicate set."""
@@ -38,20 +38,17 @@ class OdysseyEstimator(CardinalityEstimator):
             raise ValueError("star predicate set must be non-empty")
         if sources is None:
             sources = frozenset(self.summaries.charsets.sources)
-        total = 0.0
+        terms = []
         for name in sources:
             src = self.summaries.charsets.source(name)
             for charset, stats in src.charsets.items():
                 if not pred_set <= charset:
                     continue
-                if distinct:
-                    total += stats.count
-                    continue
                 numerator = 1
                 for p in pred_set:
                     numerator *= stats.occurrences.get(p, 0)
-                total += numerator / stats.count ** (len(pred_set) - 1)
-        return total
+                terms.append(numerator / stats.count ** (len(pred_set) - 1))
+        return math.fsum(terms)
 
     def linked_star_card(
         self,
@@ -71,7 +68,7 @@ class OdysseyEstimator(CardinalityEstimator):
             raise ValueError("link predicate must be part of the first star")
         if sources is None:
             sources = frozenset(self.summaries.charsets.sources)
-        total = 0.0
+        terms = []
         for name in sources:
             src = self.summaries.charsets.source(name)
             for (c_i, c_j, p), link_count in src.charpairs.items():
@@ -85,8 +82,8 @@ class OdysseyEstimator(CardinalityEstimator):
                 for pl in p_l:
                     numerator *= stats_j.occurrences.get(pl, 0)
                 denominator = stats_i.count ** (len(p_k) - 1) * stats_j.count ** len(p_l)
-                total += numerator / denominator
-        return total
+                terms.append(numerator / denominator)
+        return math.fsum(terms)
 
     # -- shape detection ---------------------------------------------------
 

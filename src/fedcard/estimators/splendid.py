@@ -8,6 +8,8 @@ is not modelled: the plan walk estimates a star join by join.
 
 from __future__ import annotations
 
+import math
+
 from ..expr import Expression, patterns as expr_patterns
 from ..query import JoinEdge, TriplePattern
 from .base import CardinalityEstimator, Engine, void_leaf_card
@@ -18,7 +20,7 @@ class SplendidEstimator(CardinalityEstimator):
 
     def tp_card(self, tp: TriplePattern) -> float:
         void = self.summaries.void
-        return sum(void_leaf_card(tp, void.source(name)) for name in self.sources_for(tp))
+        return math.fsum(void_leaf_card(tp, void.source(name)) for name in self.sources_for(tp))
 
     def join_selectivity(
         self,

@@ -17,11 +17,11 @@ from typing import Sequence
 from .oracle import CardinalityTrace
 
 
-def _validate(real: Sequence[float], est: Sequence[float], minimum_length: int = 1) -> None:
+def _validate(real: Sequence[float], est: Sequence[float]) -> None:
     if len(real) != len(est):
         raise ValueError(f"vector length mismatch: {len(real)} vs {len(est)}")
-    if len(real) < minimum_length:
-        raise ValueError(f"vectors must have at least {minimum_length} entries")
+    if not real:
+        raise ValueError("vectors must not be empty")
     for v in (*real, *est):
         if not math.isfinite(v):
             raise ValueError(f"non-finite entry {v!r}")
@@ -64,52 +64,39 @@ def clamp_positive(values: Sequence[float]) -> tuple[tuple[float, ...], tuple[in
     return tuple(out), tuple(clamped)
 
 
+def _clamped_q_error(real: Sequence[float], est: Sequence[float]) -> float:
+    """q-error with the zero counts on both sides clamped to 1."""
+    return q_error(clamp_positive(real)[0], clamp_positive(est)[0])
+
+
 @dataclass(slots=True)
 class MetricBundle:
     """Per-query error metrics of one engine's plan."""
 
-    query_id: str
-    engine: str
     q_tp: float
     q_join: float
     q_plan: float
     e_tp: float
     e_join: float
     e_plan: float
-    # Diagnostics: vector positions whose zero counts were clamped to 1
-    # before the ratio, and whether the query had no local joins.
-    clamped_tp: tuple[int, ...] = ()
-    clamped_join: tuple[int, ...] = ()
-    no_joins: bool = False
 
 
 def bundle(trace: CardinalityTrace) -> MetricBundle:
     """All six metrics from one trace.
 
-    Queries without join nodes get q_join = 1 and e_join = 0 and are
-    flagged via ``no_joins`` so correlation runs can exclude them.
+    Queries without join nodes get q_join = 1 and e_join = 0.
     """
     if not trace.tp_real:
         raise ValueError("trace has no triple-pattern entries")
-    tp_real_c, clamped_r = clamp_positive(trace.tp_real)
-    tp_est_c, clamped_e = clamp_positive(trace.tp_est)
-    clamped_tp = tuple(sorted(set(clamped_r) | set(clamped_e)))
-
-    q_tp = q_error(tp_real_c, tp_est_c)
+    q_tp = _clamped_q_error(trace.tp_real, trace.tp_est)
     e_tp = similarity_error(trace.tp_real, trace.tp_est)
 
     if trace.join_real:
-        join_real_c, jclamped_r = clamp_positive(trace.join_real)
-        join_est_c, jclamped_e = clamp_positive(trace.join_est)
-        clamped_join = tuple(sorted(set(jclamped_r) | set(jclamped_e)))
-        q_join = q_error(join_real_c, join_est_c)
+        q_join = _clamped_q_error(trace.join_real, trace.join_est)
         e_join = similarity_error(trace.join_real, trace.join_est)
-        no_joins = False
     else:
-        clamped_join = ()
         q_join = 1.0
         e_join = 0.0
-        no_joins = True
 
     # The plan vector is the two vectors end to end, so its worst ratio is
     # the worse of theirs (q_join is 1 without joins).
@@ -117,17 +104,6 @@ def bundle(trace: CardinalityTrace) -> MetricBundle:
     e_plan = similarity_error(
         tuple(trace.tp_real) + tuple(trace.join_real), tuple(trace.tp_est) + tuple(trace.join_est)
     )
-
     return MetricBundle(
-        query_id=trace.query_id,
-        engine=trace.engine,
-        q_tp=q_tp,
-        q_join=q_join,
-        q_plan=q_plan,
-        e_tp=e_tp,
-        e_join=e_join,
-        e_plan=e_plan,
-        clamped_tp=clamped_tp,
-        clamped_join=clamped_join,
-        no_joins=no_joins,
+        q_tp=q_tp, q_join=q_join, q_plan=q_plan, e_tp=e_tp, e_join=e_join, e_plan=e_plan
     )

@@ -222,12 +222,7 @@ class CardinalityTrace:
     tp_est: tuple[float, ...]
     join_real: tuple[float, ...]
     join_est: tuple[float, ...]
-    tp_fallback: tuple[bool, ...] = ()
-    join_fallback: tuple[bool, ...] = ()
-
-    @property
-    def fallback_used(self) -> bool:
-        return any(self.tp_fallback) or any(self.join_fallback)
+    fallback_used: bool = False  # some node's estimate took the engine's fallback
 
 
 def trace_plan(
@@ -249,7 +244,6 @@ def trace_plan(
     tps = sorted(expr_patterns(plan), key=lambda tp: tp.ordinal)
     tp_real = tuple(float(true_tp_card(tp, stores)) for tp in tps)
     tp_est = tuple(estimates.tp_est[tp.ordinal] for tp in tps)
-    tp_fallback = tuple(estimates.tp_fallback[tp.ordinal] for tp in tps)
 
     join_real = tuple(float(oracle.cardinality(node)) for node in join_nodes(plan))
     return CardinalityTrace(
@@ -260,6 +254,5 @@ def trace_plan(
         tp_est=tp_est,
         join_real=join_real,
         join_est=tuple(estimates.join_est),
-        tp_fallback=tp_fallback,
-        join_fallback=tuple(estimates.join_fallback),
+        fallback_used=estimates.fallback_used,
     )

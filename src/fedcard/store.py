@@ -5,11 +5,10 @@ equal terms in different stores share one id. The dictionary is keyed by
 the term's canonical N-Triples token (``format_term``, ``canonical_token``),
 so ingest, save and load move strings and ids only; ``term_of`` decodes a
 token to a ``Term`` on first request and keeps it. A store holds its
-deduplicated ``(s, p, o)`` id rows in first-seen order, keeps one index,
-by predicate, and precomputes the per-predicate distinct-subject /
-distinct-object tables that the statistics summaries read off. Terms are
-decoded only at the edges: ``triples`` and the predicate-IRI keys of those
-tables; ``match`` returns id rows, which ``term_of`` decodes.
+deduplicated ``(s, p, o)`` id rows in first-seen order and one index,
+``by_predicate``; the statistics summaries count what they need from these.
+Terms are decoded only at the edges: ``triples`` decodes every row, and
+``match`` returns id rows, which ``term_of`` decodes.
 
 Matching is exact: the length of ``match`` is the real cardinality of a
 pattern in this source, and each distinct pattern is scanned once per
@@ -29,9 +28,8 @@ import json
 import threading
 from collections import defaultdict
 from itertools import chain
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .ntriples import (
     NTriplesParseError,
@@ -101,18 +99,8 @@ class TripleStore:
         by_predicate: defaultdict[int, list[IdRow]] = defaultdict(list)
         for row in self.rows:
             by_predicate[row[1]].append(row)
-        self._by_predicate = dict(by_predicate)
-
-        # Per-predicate stats, keyed by predicate IRI string.
-        subject_of, object_of = itemgetter(0), itemgetter(2)
-        by_iri = {term_of(p).lexical: rows for p, rows in self._by_predicate.items()}
-        self.predicate_triples: Mapping[str, int] = {p: len(rows) for p, rows in by_iri.items()}
-        self.predicate_distinct_subjects: Mapping[str, int] = {
-            p: len(set(map(subject_of, rows))) for p, rows in by_iri.items()
-        }
-        self.predicate_distinct_objects: Mapping[str, int] = {
-            p: len(set(map(object_of, rows))) for p, rows in by_iri.items()
-        }
+        # Predicate id -> its rows in store order, predicates in first-seen order.
+        self.by_predicate: dict[int, list[IdRow]] = dict(by_predicate)
         self._match_memo: dict[tuple[Slot, Slot, Slot], tuple[IdRow, ...]] = {}
 
     @property
@@ -123,18 +111,6 @@ class TripleStore:
     @property
     def total_triples(self) -> int:
         return len(self.rows)
-
-    @property
-    def distinct_subjects(self) -> int:
-        return len(set(map(itemgetter(0), self.rows)))
-
-    @property
-    def distinct_objects(self) -> int:
-        return len(set(map(itemgetter(2), self.rows)))
-
-    @property
-    def predicates(self) -> Sequence[str]:
-        return sorted(self.predicate_triples)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -179,7 +155,7 @@ def _scan(store: TripleStore, pattern: TriplePattern) -> tuple[IdRow, ...]:
             if found is None:  # a term never interned occurs in no store
                 return ()
             if position == 1:
-                candidates = store._by_predicate.get(found, ())
+                candidates = store.by_predicate.get(found, ())
             else:
                 fixed.append((position, found))
 

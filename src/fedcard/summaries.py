@@ -1,6 +1,7 @@
 """Dataset statistics consumed by the cardinality estimators.
 
-Two kinds of statistics are computed from the stores:
+Two kinds of statistics are counted here, and only here, from the stores'
+id rows and their index by predicate:
 
 * ``VoidSummary`` - per-source and per-predicate triple / distinct-subject /
   distinct-object counts (the VoID-style statistics). Every estimator's
@@ -96,24 +97,25 @@ class VoidSummary:
 
 
 def build_void(stores: Sequence[TripleStore]) -> VoidSummary:
-    """Exact per-source VoID statistics read off the store index tables."""
+    """Exact per-source VoID statistics, counted from each store's id rows."""
     _check_unique_sources(stores)
+    subject_of, object_of = itemgetter(0), itemgetter(2)
     sources = []
     for store in stores:
         predicates = {
-            p: PredicateStats(
-                triples=store.predicate_triples[p],
-                distinct_subjects=store.predicate_distinct_subjects[p],
-                distinct_objects=store.predicate_distinct_objects[p],
+            term_of(p).lexical: PredicateStats(
+                triples=len(rows),
+                distinct_subjects=len(set(map(subject_of, rows))),
+                distinct_objects=len(set(map(object_of, rows))),
             )
-            for p in store.predicate_triples
+            for p, rows in store.by_predicate.items()
         }
         sources.append(
             SourceVoid(
                 source=store.source_name,
-                triples=store.total_triples,
-                distinct_subjects=store.distinct_subjects,
-                distinct_objects=store.distinct_objects,
+                triples=len(store.rows),
+                distinct_subjects=len(set(map(subject_of, store.rows))),
+                distinct_objects=len(set(map(object_of, store.rows))),
                 predicates=predicates,
             )
         )
@@ -226,7 +228,7 @@ def build_charsets(stores: Sequence[TripleStore]) -> CharSetSummary:
                 occ = entity_occ[s] = {}
             occ[p] = occ.get(p, 0) + 1
 
-        lexical = {p: term_of(p).lexical for p in set(map(itemgetter(1), store.rows))}
+        lexical = {p: term_of(p).lexical for p in store.by_predicate}
         named: dict[frozenset[int], frozenset[str]] = {}
         entity_cs: dict[int, frozenset[str]] = {}
         charsets: dict[frozenset[str], CharSetStats] = {}

@@ -322,6 +322,27 @@ def test_evaluate_rejects_bad_oracle_cap_env(runner, workspace, tmp_path, monkey
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "cap_args, env, message",
+    [
+        (["--oracle-cap", "0"], None, "error: --oracle-cap must be a positive integer, got 0"),
+        ([], "x", "error: FEDCARD_ORACLE_CAP must be a positive integer, got 'x'"),
+    ],
+    ids=["option", "env"],
+)
+def test_bad_oracle_cap_exits_2_before_loading_stores(
+    runner, workspace, tmp_path, monkeypatch, cap_args, env, message
+):
+    """A bad cap is a usage error even when a store file is damaged (which
+    alone would exit 1): the cap is checked before any store is read."""
+    (workspace / "stores" / "A.store").write_text("{not json", encoding="utf-8")
+    if env is not None:
+        monkeypatch.setenv("FEDCARD_ORACLE_CAP", env)
+    result = _evaluate_toy(runner, workspace, tmp_path, *cap_args)
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [message]
+
+
 def test_cli_import_leaves_scipy_unloaded():
     code = "import sys, fedcard.cli; print('scipy' in sys.modules or 'numpy' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(fedcard.__file__).parents[1])}

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -13,6 +14,16 @@ from fedcard.estimators import (
     select_sources,
 )
 from fedcard.expr import Leaf, join, ordinals
+from fedcard.summaries import (
+    CharSetStats,
+    CharSetSummary,
+    CostFedSummary,
+    PredicateStats,
+    SourceCharSets,
+    SourceVoid,
+    SummarySet,
+    VoidSummary,
+)
 
 P = TOY + "p"
 Q = TOY + "q"
@@ -217,7 +228,6 @@ def test_odyssey_star_cases(engines):
     od = engines["odyssey"]
     assert od.star_card([P, Q]) == pytest.approx(1.0)
     assert od.star_card([P]) == pytest.approx(3.0)  # exact: equals t_dp
-    assert od.star_card([P, Q], distinct=True) == pytest.approx(1.0)
 
 
 def test_odyssey_linked_star_toy2(toy2, toy2_summaries):
@@ -261,7 +271,6 @@ def test_odyssey_fallback_flagged(toy1, toy1_summaries):
     # object-object join is neither a star nor a linked star
     plan = join(Leaf(tp("?a", "p", "?x", 0)), Leaf(tp("?b", "q", "?x", 1)))
     est = od.evaluate_plan(plan)
-    assert est.join_fallback == [True]
     assert est.fallback_used
     sg = make_estimator("semagrow", toy1_summaries, [toy1])
     expected = sg.join_card(plan.left, plan.right, est.tp_est[0], est.tp_est[1], plan.edges)
@@ -271,7 +280,7 @@ def test_odyssey_fallback_flagged(toy1, toy1_summaries):
 def test_odyssey_ground_subject_leaf_falls_back(toy1, toy1_summaries):
     od = make_estimator("odyssey", toy1_summaries, [toy1])
     est = od.evaluate_plan(Leaf(tp("s1", "p", "?y", 0)))
-    assert est.tp_fallback == {0: True}
+    assert est.fallback_used
     lhd = make_estimator("lhd", toy1_summaries, [toy1])
     assert est.tp_est[0] == lhd.tp_card(tp("s1", "p", "?y", 0))
 
@@ -343,3 +352,51 @@ def test_estimates_finite_and_nonnegative_random(toy_ab, toy_ab_summaries):
             est = estimator.evaluate_plan(plan)
             for value in list(est.tp_est.values()) + est.join_est:
                 assert math.isfinite(value) and value >= 0.0
+
+
+# ------------------------------------------------------------ summation order
+
+
+def _three_source_summaries() -> SummarySet:
+    """Sources S1-S3 whose per-source leaf terms are 0.1, 0.2 and 0.3.
+
+    In the VoID counts predicate p has triples / distinct subjects 1/10,
+    2/10 and 3/10; in the characteristic sets the star {p, q} has
+    occurrences(p) * occurrences(q) / count 1/10, 2/10 and 3/10. The counts
+    are made up (no real source has fewer triples than subjects) so that
+    the terms are fractions whose float sum depends on its order:
+    (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1.
+    """
+    voids, charsets = [], []
+    for k in (1, 2, 3):
+        name = f"S{k}"
+        voids.append(SourceVoid(name, 100, 10, 10, {P: PredicateStats(k, 10, 10)}))
+        stats = CharSetStats(10, {P: 1, Q: k})
+        charsets.append(SourceCharSets(name, {frozenset({P, Q}): stats}))
+    return SummarySet(VoidSummary(voids), CostFedSummary(voids), CharSetSummary(charsets))
+
+
+def test_estimates_do_not_depend_on_source_order(monkeypatch):
+    """Every engine that sums floats over sources gives one estimate for all
+    six orders of the same three sources (the order of a frozenset of
+    source names follows PYTHONHASHSEED)."""
+    summaries = _three_source_summaries()
+    leaf = tp("s1", "p", "?y")  # bound subject: triples / distinct subjects per source
+    orders = list(itertools.permutations(("S1", "S2", "S3")))
+    estimates: dict[str, set[float]] = {}
+    for engine in ("costfed", "splendid", "lhd", "semagrow"):
+        estimator = make_estimator(engine, summaries, [])
+        for order in orders:
+            monkeypatch.setattr(estimator, "sources_for", lambda _tp, order=order: order)
+            estimates.setdefault(engine, set()).add(estimator.tp_card(leaf))
+    odyssey = make_estimator("odyssey", summaries, [])
+    estimates["odyssey"] = {odyssey.star_card([P, Q], sources=order) for order in orders}
+
+    assert {engine: len(values) for engine, values in estimates.items()} == dict.fromkeys(estimates, 1)
+    # The exactly rounded sum of the three terms is 0.6.
+    assert estimates["costfed"] == estimates["splendid"] == estimates["odyssey"] == {0.6}
+    # LHD (and SemaGrow's leaf): t * sel(S) * sel(P) with t = 300,
+    # sel(S) = (0.1 + 0.2 + 0.3) / 30 and sel(P) = 6 / 300.
+    (lhd,) = estimates["lhd"]
+    assert estimates["semagrow"] == {lhd}
+    assert lhd == pytest.approx(300 * (0.6 / 30) * (6 / 300))

@@ -11,6 +11,7 @@ from fedcard.fixtures import BENCH_BASE, bench_stores
 from fedcard.ntriples import Triple, iri
 from fedcard.query import TriplePattern, Var
 from fedcard.store import build_store, load_store, match, save_store, term_id, term_of
+from fedcard.summaries import build_void
 
 
 def linear_scan_count(store, pattern) -> int:
@@ -33,8 +34,9 @@ def linear_scan_count(store, pattern) -> int:
 
 def test_toy1_counts(toy1):
     assert toy1.total_triples == 5
-    assert toy1.distinct_subjects == 3
-    assert toy1.distinct_objects == 3
+    void = build_void([toy1]).source(toy1.source_name)
+    assert void.distinct_subjects == 3
+    assert void.distinct_objects == 3
 
 
 def test_empty_store():
@@ -68,11 +70,23 @@ def test_match_repeated_variable():
 
 
 def test_distinct_count_tables_match_recount(toy1):
-    for predicate in toy1.predicates:
-        subjects = {t.subject for t in toy1.triples if t.predicate.lexical == predicate}
-        objects = {t.object for t in toy1.triples if t.predicate.lexical == predicate}
-        assert toy1.predicate_distinct_subjects[predicate] == len(subjects)
-        assert toy1.predicate_distinct_objects[predicate] == len(objects)
+    """build_void's counts equal a recount of the decoded triples, per
+    predicate and per source, on toy1 and on every bench source."""
+    stores = [toy1, *bench_stores()]
+    for store in stores:
+        triples = store.triples
+        void = build_void([store]).source(store.source_name)
+        assert void.triples == len(triples)
+        assert void.distinct_subjects == len({t.subject for t in triples})
+        assert void.distinct_objects == len({t.object for t in triples})
+        predicates = {t.predicate.lexical for t in triples}
+        assert set(void.predicates) == predicates
+        for predicate in predicates:
+            rows = [t for t in triples if t.predicate.lexical == predicate]
+            stats = void.predicates[predicate]
+            assert stats.triples == len(rows)
+            assert stats.distinct_subjects == len({t.subject for t in rows})
+            assert stats.distinct_objects == len({t.object for t in rows})
 
 
 def test_index_scan_equivalence_random():
@@ -146,7 +160,7 @@ def test_match_counts_on_shared_entity_iris():
 def test_build_store_idempotent(toy1):
     rebuilt = build_store(toy1.source_name, toy1.triples)
     assert rebuilt.triples == toy1.triples
-    assert rebuilt.predicate_triples == toy1.predicate_triples
+    assert build_void([rebuilt]).sources == build_void([toy1]).sources
 
 
 def test_store_round_trip(tmp_path, toy1):
