@@ -137,6 +137,8 @@ def evaluate(stores_dir, queries_dir, engines, out_path, oracle_cap, seed) -> No
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
+    # So is an output path through a file, also when the stores or queries are damaged.
+    _make_dir(Path(out_path).parent)
     stores = _load_stores(stores_dir)
     queries = {}
     for path in sorted(Path(queries_dir).glob("*.rq")):
@@ -145,7 +147,6 @@ def evaluate(stores_dir, queries_dir, engines, out_path, oracle_cap, seed) -> No
         except UnicodeDecodeError as exc:
             click.echo(f"error: {path}: {exc}", err=True)
             sys.exit(1)
-    _make_dir(Path(out_path).parent)
     rows = evaluate_queries(queries, engine_names, stores, cap=cap)
     write_results_csv(rows, out_path)
     ok = sum(1 for r in rows if r.status == "ok")

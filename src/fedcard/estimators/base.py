@@ -5,10 +5,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from ..expr import Expression, Join, Leaf
-from ..query import JoinEdge, TriplePattern, Var
+from ..query import JoinEdge, Slot, TriplePattern, Var
 from ..store import TripleStore, match
 from ..summaries import SourceVoid, SummarySet
 
@@ -91,7 +92,12 @@ class CardinalityEstimator:
     """Base class; engines override leaf/join estimation.
 
     All estimates are non-negative finite reals; rounding is left to
-    presentation. Instances are immutable once built and safe to share.
+    presentation. The summaries and stores are fixed once built. Each
+    instance memoises two pure functions of them: every distinct plan node's
+    estimate and every distinct pattern's source selection are computed once
+    per instance. Both memos are written idempotently (a racing miss stores
+    an equal value), so an instance is safe to share, like a store's match
+    memo.
     """
 
     engine: Engine
@@ -104,8 +110,22 @@ class CardinalityEstimator:
     def name(self) -> str:
         return self.engine.value
 
+    # Created on first use, so a subclass that skips ``__init__`` gets them too.
+    @cached_property
+    def _node_estimates(self) -> dict[Expression, tuple[float, bool]]:
+        return {}
+
+    @cached_property
+    def _selected_sources(self) -> dict[tuple[Slot, Slot, Slot], frozenset[str]]:
+        return {}
+
     def sources_for(self, tp: TriplePattern) -> frozenset[str]:
-        return select_sources(tp, self.stores)
+        """``select_sources`` memoised by the pattern's slots, not its ordinal."""
+        key = (tp.subject, tp.predicate, tp.object)
+        sources = self._selected_sources.get(key)
+        if sources is None:
+            sources = self._selected_sources[key] = select_sources(tp, self.stores)
+        return sources
 
     def distinct_values(
         self, sources: frozenset[str], predicate: Optional[str], position: str
@@ -160,31 +180,48 @@ class CardinalityEstimator:
 
     # -- generic bottom-up plan walk --------------------------------------
 
+    def _estimate(self, node: Expression) -> tuple[float, bool]:
+        """The unchecked ``(estimate, fallback)`` of ``node``, computed once per node.
+
+        A join is estimated only after both its children checked valid, so
+        a memoised join vouches for the nodes below it. An exception is
+        never memoised: it recurs on every call that reaches the node.
+        """
+        found = self._node_estimates.get(node)
+        if found is None:
+            if isinstance(node, Leaf):
+                found = self._leaf_card_flagged(node.pattern)
+            else:
+                left = _checked(self._estimate(node.left)[0])
+                right = _checked(self._estimate(node.right)[0])
+                found = self._join_card_flagged(node, left, right)
+            self._node_estimates[node] = found
+        return found
+
     def evaluate_plan(self, plan: Expression) -> PlanEstimates:
         """Bottom-up per-node estimates; join order is post-order of join nodes."""
         est = PlanEstimates()
 
-        def rec(node: Expression) -> float:
-            if isinstance(node, Leaf):
-                card, fb = self._leaf_card_flagged(node.pattern)
-                card = _checked(card)
-                est.tp_est[node.pattern.ordinal] = card
-                est.fallback_used |= fb
-                return card
-            left = rec(node.left)
-            right = rec(node.right)
-            card, fb = self._join_card_flagged(node, left, right)
+        def rec(node: Expression) -> None:
+            if isinstance(node, Join):
+                rec(node.left)
+                rec(node.right)
+            card, fb = self._estimate(node)
             card = _checked(card)
-            est.join_est.append(card)
+            if isinstance(node, Leaf):
+                est.tp_est[node.pattern.ordinal] = card
+            else:
+                est.join_est.append(card)
             est.fallback_used |= fb
-            return card
 
         rec(plan)
         return est
 
     def expression_card(self, expr: Expression) -> float:
-        """Estimate of an arbitrary (partial) plan; drives the greedy planner."""
-        return self.evaluate_plan(expr).join_est[-1] if isinstance(expr, Join) else self.tp_card(
-            expr.pattern
-        )
+        """Estimate of an arbitrary (partial) plan; drives the greedy planner.
 
+        A leaf's estimate is returned unchecked: an invalid one fails where
+        a join above it, or the plan walk, checks it.
+        """
+        card = self._estimate(expr)[0]
+        return card if isinstance(expr, Leaf) else _checked(card)

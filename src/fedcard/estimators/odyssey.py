@@ -24,6 +24,8 @@ class OdysseyEstimator(CardinalityEstimator):
     def __init__(self, summaries, stores):
         super().__init__(summaries, stores)
         self._fallback = SemaGrowEstimator(summaries, stores)
+        # Same stores, same selections: the fallback reads this estimator's memo.
+        self._fallback._selected_sources = self._selected_sources
 
     # -- characteristic-set formulas --------------------------------------
 

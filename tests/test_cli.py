@@ -644,6 +644,18 @@ def test_unreadable_store_dir_is_a_data_error(runner, workspace, tmp_path, comma
     assert line.startswith(f"error: cannot load stores from {stores}: ")
 
 
+def test_evaluate_out_through_a_file_exits_2_before_loading_stores(runner, workspace):
+    """An output path through a file is a usage error even when a store file is
+    damaged (which alone would exit 1): the output directory is made first."""
+    _break_json(workspace / "stores")
+    (workspace / "file").write_text("")
+    args = [arg.format(ws=workspace) for arg in TOY_QUERIES]
+    result = runner.invoke(main, ["evaluate", *args, "--out", str(workspace / "file" / "out.csv")])
+    assert result.exit_code == 2
+    (line,) = result.output.splitlines()
+    assert line.startswith(f"error: cannot create directory {workspace / 'file'}")
+
+
 @pytest.mark.parametrize(
     "runtimes_text, message",
     [
