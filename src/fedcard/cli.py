@@ -1,6 +1,11 @@
 """Command-line interface: ingest, summarize, evaluate, correlate, fixtures.
 
 Exit codes: 0 success, 1 data/convergence failure, 2 usage error.
+
+Only click and the standard library are imported here; each command imports
+the modules it runs in its own body, so a process loads only what its command
+needs: ``correlate`` reads the results CSV without loading the store, the
+estimators or the oracle, and ``ingest`` never loads the statistics.
 """
 
 from __future__ import annotations
@@ -9,24 +14,18 @@ import csv
 import io
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
-from . import fixtures as fixture_mod
-from .estimators import ENGINE_NAMES
-from .evaluation import (
-    evaluate_queries,
-    read_results_csv,
-    read_runtimes_csv,
-    write_results_csv,
-)
-from .ntriples import NTriplesParseError
-from .oracle import default_cap
-from .stats import METHODS, CorrelationReport, correlate_results
-from .store import TripleStore, load_ntriples_file, load_store_dir, save_store
-from .summaries import build_all, save_summary
+if TYPE_CHECKING:
+    from .stats import CorrelationReport
+    from .store import TripleStore
 
 METRIC_FEATURES = ("E_T", "E_J", "E_P", "Q_T", "Q_J", "Q_P")
+# ``fedcard.stats.METHODS``, spelled out so that building ``--method`` does
+# not load the statistics; tests/test_cli.py checks that the two agree.
+CORRELATION_METHODS = ("spearman", "ols", "irls")
 
 # The kind of every path option. click checks it before any work, so a path
 # of the wrong kind is a usage error (exit 2).
@@ -56,6 +55,9 @@ def main() -> None:
 @click.option("--out", "out_dir", required=True, type=DIR, help="Store directory.")
 def ingest(source: str, file_path: str, out_dir: str) -> None:
     """Parse an N-Triples file into a deduplicated store file."""
+    from .ntriples import NTriplesParseError
+    from .store import load_ntriples_file, save_store
+
     path = Path(file_path)
     if not path.exists():
         click.echo(f"error: no such file: {path}", err=True)
@@ -77,6 +79,8 @@ def ingest(source: str, file_path: str, out_dir: str) -> None:
 
 def _load_stores(stores_dir: str) -> list[TripleStore]:
     """Every store under ``stores_dir``; a missing or unreadable store exits 1."""
+    from .store import load_store_dir
+
     try:
         stores = load_store_dir(stores_dir)
     except ValueError as exc:  # includes json.JSONDecodeError
@@ -94,6 +98,8 @@ def _load_stores(stores_dir: str) -> list[TripleStore]:
 @click.option("--out", "out_dir", required=True, type=DIR)
 def summarize(stores_dir: str, kind: str, out_dir: str) -> None:
     """Build statistics summaries from ingested stores."""
+    from .summaries import build_all, save_summary
+
     _make_dir(Path(out_dir))
     summaries = build_all(_load_stores(stores_dir))
     kinds = ["void", "costfed", "charsets"] if kind == "all" else [kind]
@@ -104,6 +110,8 @@ def summarize(stores_dir: str, kind: str, out_dir: str) -> None:
 
 
 def _parse_engines(spec: str) -> list[str]:
+    from .estimators import ENGINE_NAMES
+
     if spec.strip().lower() == "all":
         return list(ENGINE_NAMES)
     engines = [name.strip().lower() for name in spec.split(",") if name.strip()]
@@ -126,6 +134,9 @@ def _parse_engines(spec: str) -> list[str]:
 @click.option("--seed", type=int, default=0, help="Reserved; evaluation is deterministic.")
 def evaluate(stores_dir, queries_dir, engines, out_path, oracle_cap, seed) -> None:
     """Evaluate every query under every engine; write the results CSV."""
+    from .evaluation import evaluate_queries, write_results_csv
+    from .oracle import default_cap
+
     del seed  # the pipeline is deterministic; the flag pins the contract
     engine_names = _parse_engines(engines)
     # A bad cap is a usage error (exit 2) whatever the stores hold, so check it first.
@@ -199,11 +210,14 @@ def _render_report_table(reports: list[CorrelationReport]) -> str:
 @click.option("--results", "results_path", required=True, type=EXISTING_FILE)
 @click.option("--runtimes", "runtimes_path", required=True, type=EXISTING_FILE)
 @click.option("--features", default="E_T,E_J,E_P,Q_T,Q_J,Q_P")
-@click.option("--method", type=click.Choice(list(METHODS)), default="spearman")
+@click.option("--method", type=click.Choice(list(CORRELATION_METHODS)), default="spearman")
 @click.option("--common-only", is_flag=True, default=False)
 @click.option("--out", "out_path", type=FILE, default=None, help="Report CSV path.")
 def correlate(results_path, runtimes_path, features, method, common_only, out_path) -> None:
     """Correlate metric columns with supplied per-(query, engine) runtimes."""
+    from .results import read_results_csv, read_runtimes_csv
+    from .stats import correlate_results
+
     feature_list = [f.strip() for f in features.split(",") if f.strip()]
     for feature in feature_list:
         if feature not in METRIC_FEATURES:
@@ -269,8 +283,10 @@ def correlate(results_path, runtimes_path, features, method, common_only, out_pa
 @click.option("--out", "out_dir", required=True, type=DIR)
 def fixtures(out_dir: str) -> None:
     """Emit the bundled corpora (toy stores, worked example, benchmark)."""
+    from .fixtures import write_fixture_tree
+
     _make_dir(Path(out_dir))
-    written = fixture_mod.write_fixture_tree(out_dir)
+    written = write_fixture_tree(out_dir)
     click.echo(f"wrote {len(written)} fixture files under {out_dir}")
 
 

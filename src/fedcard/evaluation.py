@@ -1,4 +1,8 @@
-"""Per-(query, engine) evaluation rows and their CSV serialization."""
+"""Per-(query, engine) evaluation rows and their CSV serialization.
+
+The results-CSV header and readers live in ``fedcard.results``; this
+module re-exports them for callers that import them from here.
+"""
 
 from __future__ import annotations
 
@@ -15,13 +19,9 @@ from .metrics import MetricBundle, bundle
 from .oracle import Oracle, OracleBlowupError, trace_plan
 from .planner import PlanClass, classify_plan, greedy_left_deep_plan, tp_sources_count
 from .query import BasicGraphPattern, QueryParseError, parse_query
+from .results import RESULTS_HEADER, read_results_csv, read_runtimes_csv  # noqa: F401
 from .store import TripleStore
 from .summaries import SummarySet, build_all
-
-RESULTS_HEADER = (
-    "query_id,engine,E_T,E_J,E_P,Q_T,Q_J,Q_P,plan_class,"
-    "num_tp,num_joins,tp_sources,fallback_used,status"
-)
 
 STATUS_OK = "ok"
 STATUS_FAILED = "failed"
@@ -151,31 +151,3 @@ def rows_to_csv(rows: Sequence[EvalRow]) -> str:
 
 def write_results_csv(rows: Sequence[EvalRow], path: str | Path) -> None:
     Path(path).write_text(rows_to_csv(rows), encoding="utf-8")
-
-
-def read_results_csv(path: str | Path) -> list[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = RESULTS_HEADER.split(",")
-        if reader.fieldnames is None or not set(required) <= set(reader.fieldnames):
-            raise ValueError(f"results file needs columns {required}")
-        return [dict(r) for r in reader]
-
-
-def read_runtimes_csv(path: str | Path) -> dict[tuple[str, str], float]:
-    """Map (query_id, engine) -> runtime_ms from a runtimes file."""
-    out: dict[tuple[str, str], float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"query_id", "engine", "runtime_ms"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ValueError(f"runtimes file needs columns {sorted(required)}")
-        for record in reader:
-            key = (record["query_id"], record["engine"])
-            try:
-                out[key] = float(record["runtime_ms"])
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"line {reader.line_num}: runtime_ms {record['runtime_ms']!r} is not a number"
-                ) from None
-    return out

@@ -68,10 +68,9 @@ def greedy_left_deep_plan(bgp: BasicGraphPattern, card: CardFn) -> Expression:
     remaining.remove(first)
 
     while remaining:
-        candidates = _executable(plan, remaining)
-        best = min(candidates, key=lambda tp: (card(join(plan, Leaf(tp))), _tiebreak(tp)))
-        plan = join(plan, Leaf(best))
-        remaining.remove(best)
+        extensions = [join(plan, Leaf(tp)) for tp in _executable(plan, remaining)]
+        plan = min(extensions, key=lambda node: (card(node), _tiebreak(node.right.pattern)))
+        remaining.remove(plan.right.pattern)
     return plan
 
 
@@ -99,11 +98,12 @@ def classify_plan(plan: Expression, real_card: CardFn) -> PlanClass:
             chosen = step_leaf.pattern
             if chosen not in candidates:
                 return PlanClass.SUB_OPTIMAL
-            chosen_real = real_card(join(left, Leaf(chosen)))
-            best_real = min(real_card(join(left, Leaf(tp))) for tp in candidates)
-            if chosen_real > best_real:
+            step = join(left, step_leaf)
+            chosen_real = real_card(step)
+            others = [real_card(join(left, Leaf(tp))) for tp in candidates if tp != chosen]
+            if chosen_real > min(others, default=chosen_real):
                 return PlanClass.SUB_OPTIMAL
-            left = join(left, Leaf(chosen))
+            left = step
             remaining.remove(chosen)
     except OracleBlowupError:
         return PlanClass.FAILED

@@ -16,7 +16,6 @@ over integer (doubled) ranks.
 from __future__ import annotations
 
 import math
-import statistics
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -98,6 +97,15 @@ def _paired(
 
 def _is_constant(values: Sequence[float]) -> bool:
     return max(values) == min(values)
+
+
+def _median(values: Sequence[float]) -> float:
+    """The middle value, or the mean of the two middle values."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def _stirling_remainder(z: float) -> float:
@@ -325,7 +333,7 @@ def irls_huber(x: Sequence[float], y: Sequence[float]) -> RegressionResult:
     for iterations in range(1, IRLS_MAX_ITER + 1):
         abs_resid = [abs(yi - intercept - slope * xi) for xi, yi in zip(xs, ys)]
         # MAD about zero: residuals of an intercept model are centered.
-        sigma = statistics.median(abs_resid) / MAD_TO_SIGMA
+        sigma = _median(abs_resid) / MAD_TO_SIGMA
         if sigma == 0.0:
             w = [1.0] * n
             converged = True

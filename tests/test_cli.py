@@ -10,7 +10,8 @@ from click.testing import CliRunner
 
 import fedcard
 from fedcard.cli import main
-from fedcard.evaluation import RESULTS_HEADER
+from fedcard.results import RESULTS_HEADER
+from fedcard.stats import METHODS
 
 
 @pytest.fixture()
@@ -362,6 +363,66 @@ def test_store_and_evaluation_imports_leave_numpy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def _modules_loaded_after(code, tmp_path):
+    """The ``fedcard`` modules a fresh interpreter holds after running ``code``."""
+    code += "\nimport sys; print(' '.join(sorted(m for m in sys.modules if m.startswith('fedcard'))))"
+    env = {**os.environ, "PYTHONPATH": str(Path(fedcard.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True,
+        check=True,
+    )
+    return set(out.stdout.split())
+
+
+def _run_in_process(*args):
+    return f"from fedcard.cli import main; main.main({list(args)!r}, standalone_mode=False)"
+
+
+def test_each_command_loads_only_the_modules_it_runs(workspace, tmp_path):
+    """``import fedcard.cli`` loads no fedcard module of its own; a command
+    loads only what it runs (ingest no statistics or estimators, correlate
+    no store, estimators or oracle)."""
+    assert _modules_loaded_after("import fedcard.cli", tmp_path) == {"fedcard", "fedcard.cli"}
+
+    nt = workspace / "fx/toy/sources/A.nt"
+    loaded = _modules_loaded_after(
+        _run_in_process("ingest", "--source", "A", "--file", str(nt), "--out", "st"), tmp_path
+    )
+    assert "fedcard.store" in loaded
+    for module in ("estimators", "evaluation", "oracle", "stats", "summaries", "fixtures"):
+        assert f"fedcard.{module}" not in loaded
+
+    golden = Path(__file__).parent / "golden"
+    loaded = _modules_loaded_after(
+        _run_in_process(
+            "correlate", "--results", str(golden / "bench_results.csv"),
+            "--runtimes", str(golden / "bench_runtimes.csv"), "--out", "report.csv",
+        ),
+        tmp_path,
+    )
+    assert {"fedcard.results", "fedcard.stats"} <= loaded
+    for module in ("store", "estimators", "oracle"):
+        assert f"fedcard.{module}" not in loaded
+
+
+def test_correlate_help_lists_every_stats_method(runner):
+    result = runner.invoke(main, ["correlate", "--help"])
+    assert result.exit_code == 0
+    assert f"[{'|'.join(METHODS)}]" in result.output
+
+
+def test_correlate_unknown_method_is_a_usage_error(runner, tmp_path):
+    results, runtimes = tmp_path / "r.csv", tmp_path / "t.csv"
+    results.write_text(RESULTS_HEADER + "\n")
+    runtimes.write_text("query_id,engine,runtime_ms\n")
+    result = runner.invoke(
+        main,
+        ["correlate", "--results", str(results), "--runtimes", str(runtimes), "--method", "x"],
+    )
+    assert result.exit_code == 2
+    assert "'x' is not one of 'spearman', 'ols', 'irls'" in result.output
 
 
 def test_evaluate_deterministic(runner, workspace, tmp_path):

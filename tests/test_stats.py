@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ from fedcard.stats import (
     METHODS,
     StatsError,
     _average_ranks,
+    _median,
     _t_two_sided_p,
     correlate_results,
     correlation_band,
@@ -228,6 +230,13 @@ def test_irls_all_residuals_below_threshold_equals_ols():
     assert all(w == 1.0 for w in robust.weights)
     assert robust.slope == pytest.approx(plain.slope, abs=1e-12)
     assert robust.intercept == pytest.approx(plain.intercept, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(0, 1e6), min_size=1, max_size=20))
+def test_median_equals_statistics_median(values):
+    """IRLS's MAD scale takes the same middle value (or mean of two) as before."""
+    assert _median(values) == statistics.median(values)
 
 
 def test_irls_requires_four_points():
