@@ -83,7 +83,7 @@ def _load_stores(stores_dir: str) -> list[TripleStore]:
 
     try:
         stores = load_store_dir(stores_dir)
-    except ValueError as exc:  # includes json.JSONDecodeError
+    except (OSError, ValueError) as exc:  # e.g. a directory named *.store, bad JSON
         click.echo(f"error: cannot load stores from {stores_dir}: {exc}", err=True)
         sys.exit(1)
     if not stores:
@@ -157,6 +157,9 @@ def evaluate(stores_dir, queries_dir, engines, out_path, oracle_cap, seed) -> No
             queries[path.stem] = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             click.echo(f"error: {path}: {exc}", err=True)
+            sys.exit(1)
+        except OSError as exc:  # e.g. a directory named *.rq
+            click.echo(f"error: {path}: {exc.strerror}", err=True)
             sys.exit(1)
     rows = evaluate_queries(queries, engine_names, stores, cap=cap)
     write_results_csv(rows, out_path)

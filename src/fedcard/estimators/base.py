@@ -158,14 +158,7 @@ class CardinalityEstimator:
     def tp_card(self, tp: TriplePattern) -> float:
         raise NotImplementedError
 
-    def join_card(
-        self,
-        left: Expression,
-        right: Expression,
-        left_card: float,
-        right_card: float,
-        edges: tuple[JoinEdge, ...],
-    ) -> float:
+    def join_card(self, node: Join, left_card: float, right_card: float) -> float:
         raise NotImplementedError
 
     # -- flagged variants; engines with fallback behaviour override ------
@@ -176,7 +169,7 @@ class CardinalityEstimator:
     def _join_card_flagged(
         self, node: Join, left_card: float, right_card: float
     ) -> tuple[float, bool]:
-        return self.join_card(node.left, node.right, left_card, right_card, node.edges), False
+        return self.join_card(node, left_card, right_card), False
 
     # -- generic bottom-up plan walk --------------------------------------
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from ..expr import Expression, Leaf
+from ..expr import Expression, Join, Leaf
 from ..query import JoinEdge, TriplePattern, Var
 from .base import CardinalityEstimator, Engine, join_positions, void_leaf_card
 
@@ -54,15 +54,8 @@ class CostFedEstimator(CardinalityEstimator):
                 return card / dist if dist else 1.0
         return 1.0
 
-    def join_card(
-        self,
-        left: Expression,
-        right: Expression,
-        left_card: float,
-        right_card: float,
-        edges: tuple[JoinEdge, ...],
-    ) -> float:
-        m_left = self.multivalued_factor(left, left_card, edges)
-        m_right = self.multivalued_factor(right, right_card, edges)
+    def join_card(self, node: Join, left_card: float, right_card: float) -> float:
+        m_left = self.multivalued_factor(node.left, left_card, node.edges)
+        m_right = self.multivalued_factor(node.right, right_card, node.edges)
         return m_left * m_right * min(left_card, right_card)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from ..expr import Expression, patterns as expr_patterns
+from ..expr import Join, patterns as expr_patterns
 from ..query import JoinEdge, JoinKind, TriplePattern, Var
 from ..summaries import SourceVoid
 from .base import CardinalityEstimator, Engine
@@ -88,18 +88,11 @@ class LhdEstimator(CardinalityEstimator):
         rnum = self.distinct_values(rsources, right_tp.bound_predicate(), edge.right_pos)
         return (lnum * rnum) / (lden * rden)
 
-    def join_card(
-        self,
-        left: Expression,
-        right: Expression,
-        left_card: float,
-        right_card: float,
-        edges: tuple[JoinEdge, ...],
-    ) -> float:
+    def join_card(self, node: Join, left_card: float, right_card: float) -> float:
         # Recursive form of the flat multi-join product: edges internal to
         # either side are already folded into its cardinality.
-        by_ordinal = {tp.ordinal: tp for tp in expr_patterns(left) + expr_patterns(right)}
+        by_ordinal = {tp.ordinal: tp for tp in expr_patterns(node)}
         card = left_card * right_card
-        for edge in edges:
+        for edge in node.edges:
             card *= self.edge_selectivity(edge, by_ordinal[edge.left], by_ordinal[edge.right])
         return card

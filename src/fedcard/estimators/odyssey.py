@@ -3,8 +3,8 @@
 Same-subject stars with bound predicates are estimated from the
 characteristic sets containing the star's predicate set; star pairs
 linked by a single predicate use the characteristic-pair statistics.
-Plan nodes that fit neither shape fall back to a SemaGrow-style
-min-selectivity join (leaves to the LHD formula) and are flagged.
+Plan nodes that fit neither shape fall back to the base class, SemaGrow
+(min-selectivity joins, leaves by the LHD formula), and are flagged.
 """
 
 from __future__ import annotations
@@ -12,34 +12,27 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from ..expr import Expression, Join, patterns as expr_patterns
-from ..query import JoinEdge, Slot, TriplePattern, Var
-from .base import CardinalityEstimator, Engine
+from ..expr import Join, patterns as expr_patterns
+from ..query import Slot, TriplePattern, Var
+from .base import Engine
 from .semagrow import SemaGrowEstimator
 
 
-class OdysseyEstimator(CardinalityEstimator):
-    engine = Engine.ODYSSEY
+class OdysseyEstimator(SemaGrowEstimator):
+    """Odyssey's estimates come from the flagged hooks; the inherited
+    ``tp_card`` and ``join_card`` are its SemaGrow fallback."""
 
-    def __init__(self, summaries, stores):
-        super().__init__(summaries, stores)
-        self._fallback = SemaGrowEstimator(summaries, stores)
-        # Same stores, same selections: the fallback reads this estimator's memo.
-        self._fallback._selected_sources = self._selected_sources
+    engine = Engine.ODYSSEY
 
     # -- characteristic-set formulas --------------------------------------
 
     def star_card(
-        self,
-        predicates: Sequence[str] | frozenset[str],
-        sources: Optional[frozenset[str]] = None,
+        self, predicates: Sequence[str] | frozenset[str], sources: frozenset[str]
     ) -> float:
         """Cardinality of a subject-rooted star over a bound predicate set."""
         pred_set = frozenset(predicates)
         if not pred_set:
             raise ValueError("star predicate set must be non-empty")
-        if sources is None:
-            sources = frozenset(self.summaries.charsets.sources)
         terms = []
         for name in sources:
             src = self.summaries.charsets.source(name)
@@ -57,7 +50,7 @@ class OdysseyEstimator(CardinalityEstimator):
         star_predicates: Sequence[str] | frozenset[str],
         target_predicates: Sequence[str] | frozenset[str],
         link_predicate: str,
-        sources: Optional[frozenset[str]] = None,
+        sources: frozenset[str],
     ) -> float:
         """Cardinality of two stars linked subject-to-subject by one predicate.
 
@@ -68,8 +61,6 @@ class OdysseyEstimator(CardinalityEstimator):
         p_l = frozenset(target_predicates)
         if link_predicate not in p_k:
             raise ValueError("link predicate must be part of the first star")
-        if sources is None:
-            sources = frozenset(self.summaries.charsets.sources)
         terms = []
         for name in sources:
             src = self.summaries.charsets.source(name)
@@ -151,10 +142,6 @@ class OdysseyEstimator(CardinalityEstimator):
 
     # -- plan-node estimation ----------------------------------------------
 
-    def tp_card(self, tp: TriplePattern) -> float:
-        card, _ = self._leaf_card_flagged(tp)
-        return card
-
     def _leaf_card_flagged(self, tp: TriplePattern) -> tuple[float, bool]:
         predicate = tp.bound_predicate()
         if (
@@ -162,8 +149,8 @@ class OdysseyEstimator(CardinalityEstimator):
             and isinstance(tp.subject, Var)
             and isinstance(tp.object, Var)
         ):
-            return self.star_card([predicate], sources=self.sources_for(tp)), False
-        return self._fallback.tp_card(tp), True
+            return self.star_card([predicate], self.sources_for(tp)), False
+        return super().tp_card(tp), True
 
     def _join_card_flagged(
         self, node: Join, left_card: float, right_card: float
@@ -171,21 +158,8 @@ class OdysseyEstimator(CardinalityEstimator):
         covered = expr_patterns(node)
         star = self._star_group(covered)
         if star is not None:
-            return self.star_card(star[1], sources=self._star_sources(covered)), False
+            return self.star_card(star[1], self._star_sources(covered)), False
         linked = self._linked_star(covered)
         if linked is not None:
-            p_k, p_l, link, sources = linked
-            return self.linked_star_card(p_k, p_l, link, sources=sources), False
-        card = self._fallback.join_card(node.left, node.right, left_card, right_card, node.edges)
-        return card, True
-
-    def join_card(
-        self,
-        left: Expression,
-        right: Expression,
-        left_card: float,
-        right_card: float,
-        edges: tuple[JoinEdge, ...],
-    ) -> float:
-        card, _ = self._join_card_flagged(Join(left, right, edges), left_card, right_card)
-        return card
+            return self.linked_star_card(*linked), False
+        return super().join_card(node, left_card, right_card), True

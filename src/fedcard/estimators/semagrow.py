@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..expr import Expression, Leaf, internal_edges
+from ..expr import Expression, Join, Leaf, internal_edges
 from ..query import JoinEdge, TriplePattern
 from .base import CardinalityEstimator, Engine, join_positions
 from .lhd import LhdEstimator
@@ -43,17 +43,10 @@ class SemaGrowEstimator(CardinalityEstimator):
             self.expression_join_selectivity(expr.right, edges),
         )
 
-    def join_card(
-        self,
-        left: Expression,
-        right: Expression,
-        left_card: float,
-        right_card: float,
-        edges: tuple[JoinEdge, ...],
-    ) -> float:
-        scope = tuple(internal_edges(left)) + tuple(internal_edges(right)) + tuple(edges)
+    def join_card(self, node: Join, left_card: float, right_card: float) -> float:
+        scope = internal_edges(node)
         sel = min(
-            self.expression_join_selectivity(left, scope),
-            self.expression_join_selectivity(right, scope),
+            self.expression_join_selectivity(node.left, scope),
+            self.expression_join_selectivity(node.right, scope),
         )
         return left_card * right_card * sel

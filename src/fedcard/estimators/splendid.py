@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 
-from ..expr import Expression, patterns as expr_patterns
-from ..query import JoinEdge, TriplePattern
+from ..expr import Join, patterns as expr_patterns
+from ..query import TriplePattern
 from .base import CardinalityEstimator, Engine, void_leaf_card
 
 
@@ -22,19 +22,14 @@ class SplendidEstimator(CardinalityEstimator):
         void = self.summaries.void
         return math.fsum(void_leaf_card(tp, void.source(name)) for name in self.sources_for(tp))
 
-    def join_selectivity(
-        self,
-        left: Expression,
-        right: Expression,
-        edges: tuple[JoinEdge, ...],
-    ) -> float:
+    def join_selectivity(self, node: Join) -> float:
         """Mean over shared variables of the mean of both sides' selectivities."""
-        if not edges:
+        if not node.edges:
             return 1.0
-        left_tps = {tp.ordinal: tp for tp in expr_patterns(left)}
-        right_tps = {tp.ordinal: tp for tp in expr_patterns(right)}
+        left_tps = {tp.ordinal: tp for tp in expr_patterns(node.left)}
+        right_tps = {tp.ordinal: tp for tp in expr_patterns(node.right)}
         per_variable: dict[str, tuple[list[float], list[float]]] = {}
-        for edge in edges:
+        for edge in node.edges:
             lsel, rsel = per_variable.setdefault(edge.variable, ([], []))
             if edge.left in left_tps:
                 lsel.append(self.position_selectivity(left_tps[edge.left], edge.left_pos))
@@ -49,12 +44,5 @@ class SplendidEstimator(CardinalityEstimator):
             sels.append((left_mean + right_mean) / 2.0)
         return sum(sels) / len(sels)
 
-    def join_card(
-        self,
-        left: Expression,
-        right: Expression,
-        left_card: float,
-        right_card: float,
-        edges: tuple[JoinEdge, ...],
-    ) -> float:
-        return left_card * right_card * self.join_selectivity(left, right, edges)
+    def join_card(self, node: Join, left_card: float, right_card: float) -> float:
+        return left_card * right_card * self.join_selectivity(node)

@@ -68,7 +68,6 @@ def evaluate_query(
     query_id: str,
     bgp: BasicGraphPattern,
     estimator: CardinalityEstimator,
-    stores: Sequence[TripleStore],
     oracle: Oracle,
 ) -> EvalRow:
     """One evaluation row: plan, trace, metrics, classification, #T."""
@@ -76,12 +75,12 @@ def evaluate_query(
         query_id=query_id,
         engine=estimator.name,
         num_tp=len(bgp.patterns),
-        tp_sources=tp_sources_count(bgp, stores),
+        tp_sources=tp_sources_count(bgp, estimator),
     )
     try:
         plan = greedy_left_deep_plan(bgp, estimator.expression_card)
         row.num_joins = len(join_nodes(plan))
-        trace = trace_plan(plan, estimator, stores, query_id=query_id, oracle=oracle)
+        trace = trace_plan(plan, estimator, oracle, query_id=query_id)
         row.fallback_used = trace.fallback_used
         row.metrics = bundle(trace)
         row.plan_class = classify_plan(plan, oracle.cardinality)
@@ -135,7 +134,7 @@ def evaluate_queries(
             continue
         oracle = Oracle(stores, cap)
         for est in estimators:
-            rows.append(evaluate_query(query_id, bgp, est, stores, oracle))
+            rows.append(evaluate_query(query_id, bgp, est, oracle))
     rows.sort(key=lambda r: (r.query_id, r.engine))
     return rows
 

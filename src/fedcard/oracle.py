@@ -226,23 +226,18 @@ class CardinalityTrace:
 
 
 def trace_plan(
-    plan: Expression,
-    estimator: CardinalityEstimator,
-    stores: Sequence[TripleStore],
-    query_id: str = "",
-    oracle: Optional[Oracle] = None,
+    plan: Expression, estimator: CardinalityEstimator, oracle: Oracle, query_id: str = ""
 ) -> CardinalityTrace:
     """Real and estimated cardinality vectors for every plan node.
 
-    Triple-pattern entries are indexed by pattern ordinal, join entries by
-    bottom-up join order. Real counts never apply DISTINCT projection.
+    Real counts come from the oracle's stores. Triple-pattern entries are
+    indexed by pattern ordinal, join entries by bottom-up join order. Real
+    counts never apply DISTINCT projection.
     """
-    if oracle is None:
-        oracle = Oracle(stores)
     estimates: PlanEstimates = estimator.evaluate_plan(plan)
 
     tps = sorted(expr_patterns(plan), key=lambda tp: tp.ordinal)
-    tp_real = tuple(float(true_tp_card(tp, stores)) for tp in tps)
+    tp_real = tuple(float(true_tp_card(tp, oracle.stores)) for tp in tps)
     tp_est = tuple(estimates.tp_est[tp.ordinal] for tp in tps)
 
     join_real = tuple(float(oracle.cardinality(node)) for node in join_nodes(plan))

@@ -11,13 +11,12 @@ minimal among the joins executable at that step.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Sequence
+from typing import Callable
 
-from .estimators.base import select_sources
+from .estimators.base import CardinalityEstimator
 from .expr import Expression, Leaf, is_left_deep, join, join_nodes, leaves, variables
 from .oracle import OracleBlowupError
 from .query import BasicGraphPattern, TriplePattern
-from .store import TripleStore
 
 CardFn = Callable[[Expression], float]
 
@@ -110,6 +109,6 @@ def classify_plan(plan: Expression, real_card: CardFn) -> PlanClass:
     return PlanClass.OPTIMAL
 
 
-def tp_sources_count(bgp: BasicGraphPattern, stores: Sequence[TripleStore]) -> int:
-    """Total triple-pattern-wise sources selected across the query (#T)."""
-    return sum(len(select_sources(tp, stores)) for tp in bgp.patterns)
+def tp_sources_count(bgp: BasicGraphPattern, estimator: CardinalityEstimator) -> int:
+    """Total triple-pattern-wise sources the estimator selects across the query (#T)."""
+    return sum(len(estimator.sources_for(tp)) for tp in bgp.patterns)

@@ -317,12 +317,3 @@ def edges_between(left: TriplePattern, right: TriplePattern) -> list[JoinEdge]:
     shared = sorted(first.variables() & second.variables())
     return [_edge_for_pair(first, second, v) for v in shared]
 
-
-def join_edges(bgp: BasicGraphPattern) -> list[JoinEdge]:
-    """All join edges of a BGP: one per unordered pattern pair per shared variable."""
-    out: list[JoinEdge] = []
-    patterns = bgp.patterns
-    for i in range(len(patterns)):
-        for j in range(i + 1, len(patterns)):
-            out.extend(edges_between(patterns[i], patterns[j]))
-    return out

@@ -3,10 +3,10 @@
 ``evaluate_expression`` expands the oracle's multiplicity map into a bag of
 binding dicts; ``decode_keys`` decodes the term-id keys of such a map;
 ``lhd_multi_join_card`` is LHD's flat multi-join formula, the reference for
-its recursive ``join_card``; ``match_triples`` decodes the id rows of
-``store.match``; ``scanner_ntriples`` is the N-Triples reader that reads
-every line term by term with the token scanner, the reference for
-``parse_ntriples``; ``average_ranks_by_sorting`` and
+its recursive ``join_card``; ``join_edges`` lists every join edge of a BGP;
+``match_triples`` decodes the id rows of ``store.match``;
+``scanner_ntriples`` is the N-Triples reader that reads every line term by
+term with the token scanner, the reference for ``parse_ntriples``; ``average_ranks_by_sorting`` and
 ``brute_force_spearman_p`` are the references for the average ranks and the
 exact Spearman p of ``fedcard.stats``.
 """
@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 from fedcard.expr import Expression, variables
 from fedcard.ntriples import _EOL, NTriplesParseError, Term, TermKind, Triple, _LineScanner
 from fedcard.oracle import Oracle
-from fedcard.query import JoinEdge, TriplePattern
+from fedcard.query import BasicGraphPattern, JoinEdge, TriplePattern, edges_between
 from fedcard.store import TripleStore, match, term_of
 
 
@@ -58,6 +58,16 @@ def lhd_multi_join_card(
     for edge in edges:
         card *= lhd.edge_selectivity(edge, by_ordinal[edge.left], by_ordinal[edge.right])
     return card
+
+
+def join_edges(bgp: BasicGraphPattern) -> list[JoinEdge]:
+    """All join edges of a BGP: one per unordered pattern pair per shared variable."""
+    out: list[JoinEdge] = []
+    patterns = bgp.patterns
+    for i in range(len(patterns)):
+        for j in range(i + 1, len(patterns)):
+            out.extend(edges_between(patterns[i], patterns[j]))
+    return out
 
 
 def match_triples(store: TripleStore, pattern: TriplePattern) -> list[Triple]:

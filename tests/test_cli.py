@@ -237,6 +237,20 @@ def test_evaluate_non_utf8_query_is_a_data_error(runner, workspace, tmp_path):
     assert line.startswith(f"error: {bad}: ") and "utf-8" in line
 
 
+def test_evaluate_query_directory_is_a_data_error(runner, workspace, tmp_path):
+    bad = tmp_path / "queries" / "bad.rq"
+    bad.mkdir(parents=True)
+    result = runner.invoke(
+        main,
+        ["evaluate", "--stores", str(workspace / "stores"), "--queries", str(bad.parent),
+         "--out", str(tmp_path / "bad.csv")],
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    (line,) = result.output.splitlines()
+    assert line.startswith(f"error: {bad}: ")
+
+
 def test_evaluate_unknown_engine(runner, workspace, tmp_path):
     result = runner.invoke(
         main,
@@ -669,6 +683,10 @@ def _blank_predicate(stores):
     _write_store(stores, [SPO[0], "_:p", SPO[2]], [0, 1, 2])
 
 
+def _directory_named_like_a_store(stores):
+    (stores / "X.store").mkdir()
+
+
 @pytest.mark.parametrize("command", ["summarize", "evaluate"])
 @pytest.mark.parametrize(
     "damage",
@@ -690,6 +708,7 @@ def _blank_predicate(stores):
         _negative_index,
         _literal_subject,
         _blank_predicate,
+        _directory_named_like_a_store,
     ],
 )
 def test_unreadable_store_dir_is_a_data_error(runner, workspace, tmp_path, command, damage):

@@ -5,6 +5,7 @@ warmed estimator gives the results of a fresh one, and the CLI (one
 estimator for every query) writes the bytes of one estimator per query.
 """
 
+import sys
 from collections import Counter
 
 import pytest
@@ -22,10 +23,10 @@ from fedcard.estimators import (
     select_sources,
 )
 from fedcard.estimators import base as estimators_base
-from fedcard.evaluation import evaluate_queries, rows_to_csv
+from fedcard.evaluation import evaluate_queries, evaluate_query, rows_to_csv
 from fedcard.expr import join_nodes, leaves
 from fedcard.fixtures import bench_queries, bench_stores
-from fedcard.oracle import Oracle, trace_plan
+from fedcard.oracle import Oracle
 from fedcard.planner import greedy_left_deep_plan
 from fedcard.query import parse_query
 from fedcard.summaries import build_all
@@ -129,9 +130,12 @@ ESTIMATOR_CLASSES = [
 @pytest.mark.parametrize("qid", THREE_PATTERN_QUERIES)
 @pytest.mark.parametrize("cls", ESTIMATOR_CLASSES, ids=lambda cls: cls.engine.value)
 def test_plan_and_trace_estimate_each_node_once(bench, monkeypatch, cls, qid):
+    """A whole row (plan, trace, classification and #T) estimates each node and
+    selects each pattern's sources once, wherever ``select_sources`` is bound."""
     stores, summaries, queries = bench
     bgp = parse_query(queries[qid])
     assert len(bgp.patterns) == 3
+    plan = greedy_left_deep_plan(bgp, cls(summaries, stores).expression_card)
     selected = Counter()
     original = estimators_base.select_sources
 
@@ -139,14 +143,17 @@ def test_plan_and_trace_estimate_each_node_once(bench, monkeypatch, cls, qid):
         selected[pattern.subject, pattern.predicate, pattern.object] += 1
         return original(pattern, stores)
 
-    monkeypatch.setattr(estimators_base, "select_sources", counting_select_sources)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fedcard") and vars(module).get("select_sources") is original:
+            monkeypatch.setattr(module, "select_sources", counting_select_sources)
     estimator = _counting(cls)(summaries, stores)
 
-    plan = greedy_left_deep_plan(bgp, estimator.expression_card)
-    trace_plan(plan, estimator, stores, query_id=qid, oracle=Oracle(stores))
+    row = evaluate_query(qid, bgp, estimator, Oracle(stores))
 
+    assert row.status == "ok"
     assert set(estimator.leaf_calls) == {leaf.pattern for leaf in leaves(plan)}
     assert set(join_nodes(plan)) <= set(estimator.join_calls)
     assert set(estimator.leaf_calls.values()) == {1}
     assert set(estimator.join_calls.values()) == {1}
+    assert set(selected) == {(tp.subject, tp.predicate, tp.object) for tp in bgp.patterns}
     assert set(selected.values()) <= {1}

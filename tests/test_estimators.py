@@ -13,7 +13,7 @@ from fedcard.estimators import (
     make_estimator,
     select_sources,
 )
-from fedcard.expr import Leaf, join, ordinals
+from fedcard.expr import Join, Leaf, join, ordinals
 from fedcard.summaries import (
     CharSetStats,
     CharSetSummary,
@@ -27,6 +27,7 @@ from fedcard.summaries import (
 
 P = TOY + "p"
 Q = TOY + "q"
+A = frozenset({"A"})  # the one source of toy1 and of toy2
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +74,7 @@ def test_costfed_join_subject_star(engines):
     node = join(e0, e1)
     c0, c1 = cf.tp_card(e0.pattern), cf.tp_card(e1.pattern)
     # M1 = 3/2, M2 = 2/2, min(3, 2) = 2
-    assert cf.join_card(e0, e1, c0, c1, node.edges) == pytest.approx(3.0)
+    assert cf.join_card(node, c0, c1) == pytest.approx(3.0)
 
 
 def test_costfed_m_factor_bound_object(engines):
@@ -88,7 +89,7 @@ def test_costfed_m_other_case_is_identity(engines):
     cf = engines["costfed"]
     # Ground subjects: no join involvement, M = 1 on both sides.
     e0, e1 = Leaf(tp("s1", "p", "?y", 0)), Leaf(tp("s2", "q", "?z", 1))
-    assert cf.join_card(e0, e1, 7.0, 7.0, ()) == 7.0
+    assert cf.join_card(Join(e0, e1), 7.0, 7.0) == 7.0
 
 
 def test_costfed_join_never_exceeds_m_bound(engines):
@@ -98,7 +99,7 @@ def test_costfed_join_never_exceeds_m_bound(engines):
     c0, c1 = cf.tp_card(e0.pattern), cf.tp_card(e1.pattern)
     m0 = cf.multivalued_factor(e0, c0, node.edges)
     m1 = cf.multivalued_factor(e1, c1, node.edges)
-    estimate = cf.join_card(e0, e1, c0, c1, node.edges)
+    estimate = cf.join_card(node, c0, c1)
     assert estimate <= max(m0, m1, 1.0) * min(c0, c1) + 1e-12
 
 
@@ -121,13 +122,13 @@ def test_splendid_join(engines):
     e0, e1 = Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1))
     node = join(e0, e1)
     # sel = mean(1/2, 1/2) = 0.5 -> 3 * 2 * 0.5
-    assert sp.join_card(e0, e1, 3.0, 2.0, node.edges) == pytest.approx(3.0)
+    assert sp.join_card(node, 3.0, 2.0) == pytest.approx(3.0)
 
 
 def test_splendid_cartesian_join(engines):
     sp = engines["splendid"]
     e0, e1 = Leaf(tp("?a", "p", "?b", 0)), Leaf(tp("?c", "q", "?d", 1))
-    assert sp.join_card(e0, e1, 4.0, 5.0, ()) == 20.0
+    assert sp.join_card(Join(e0, e1), 4.0, 5.0) == 20.0
 
 
 def test_splendid_single_distinct_value_side(engines):
@@ -136,7 +137,7 @@ def test_splendid_single_distinct_value_side(engines):
     # positional selectivity is 1 and sel = mean(1, 1/2).
     e0, e1 = Leaf(tp("?a", "p", "?b", 0)), Leaf(tp("?c", "q", "?b", 1))
     node = join(e0, e1)
-    assert sp.join_card(e0, e1, 3.0, 2.0, node.edges) == pytest.approx(3.0 * 2.0 * 0.75)
+    assert sp.join_card(node, 3.0, 2.0) == pytest.approx(3.0 * 2.0 * 0.75)
 
 
 # ------------------------------------------------------------ LHD
@@ -154,7 +155,7 @@ def test_lhd_join_subject_subject(engines):
     e0, e1 = Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1))
     node = join(e0, e1)
     # sel = (2*2)/(3*3); card = 3 * 2 * 4/9
-    assert lhd.join_card(e0, e1, 3.0, 2.0, node.edges) == pytest.approx(8 / 3)
+    assert lhd.join_card(node, 3.0, 2.0) == pytest.approx(8 / 3)
 
 
 def test_lhd_join_subject_object(engines):
@@ -168,7 +169,7 @@ def test_lhd_join_subject_object(engines):
 def test_lhd_join_no_shared_variables(engines):
     lhd = engines["lhd"]
     e0, e1 = Leaf(tp("?a", "p", "?b", 0)), Leaf(tp("?c", "q", "?d", 1))
-    assert lhd.join_card(e0, e1, 3.0, 2.0, ()) == 6.0
+    assert lhd.join_card(Join(e0, e1), 3.0, 2.0) == 6.0
 
 
 def test_lhd_multi_join_flat_form(engines):
@@ -176,7 +177,7 @@ def test_lhd_multi_join_flat_form(engines):
     tps = [tp("?x", "p", "?y", 0), tp("?x", "q", "?z", 1)]
     node = join(Leaf(tps[0]), Leaf(tps[1]))
     flat = lhd_multi_join_card(lhd, tps, [3.0, 2.0], node.edges)
-    recursive = lhd.join_card(Leaf(tps[0]), Leaf(tps[1]), 3.0, 2.0, node.edges)
+    recursive = lhd.join_card(node, 3.0, 2.0)
     assert flat == pytest.approx(recursive)
 
 
@@ -193,7 +194,7 @@ def test_semagrow_join(engines):
     sg = engines["semagrow"]
     e0, e1 = Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1))
     node = join(e0, e1)
-    assert sg.join_card(e0, e1, 3.0, 2.0, node.edges) == pytest.approx(3.0)
+    assert sg.join_card(node, 3.0, 2.0) == pytest.approx(3.0)
 
 
 def test_semagrow_single_distinct_value_leaf(engines):
@@ -207,7 +208,7 @@ def test_semagrow_single_distinct_value_leaf(engines):
 def test_semagrow_no_join_attributes_gives_unity(engines):
     sg = engines["semagrow"]
     e0, e1 = Leaf(tp("?a", "p", "?b", 0)), Leaf(tp("?c", "q", "?d", 1))
-    assert sg.join_card(e0, e1, 4.0, 5.0, ()) == 20.0
+    assert sg.join_card(Join(e0, e1), 4.0, 5.0) == 20.0
 
 
 def test_semagrow_joinsel_monotone_under_nesting(engines):
@@ -226,8 +227,8 @@ def test_semagrow_joinsel_monotone_under_nesting(engines):
 
 def test_odyssey_star_cases(engines):
     od = engines["odyssey"]
-    assert od.star_card([P, Q]) == pytest.approx(1.0)
-    assert od.star_card([P]) == pytest.approx(3.0)  # exact: equals t_dp
+    assert od.star_card([P, Q], A) == pytest.approx(1.0)
+    assert od.star_card([P], A) == pytest.approx(3.0)  # exact: equals t_dp
 
 
 def test_odyssey_linked_star_toy2(toy2, toy2_summaries):
@@ -235,18 +236,18 @@ def test_odyssey_linked_star_toy2(toy2, toy2_summaries):
     # Verbatim characteristic-pair formula on toy2 statistics: CS {p} has
     # count 2 and occurrences(p) = 3 after o3 becomes an entity, so each
     # CP entry contributes 1 * (3/2).
-    assert od.linked_star_card([Q], [P], Q) == pytest.approx(3.0)
-    assert od.linked_star_card([P, Q], [P], Q) == pytest.approx(1.5)
+    assert od.linked_star_card([Q], [P], Q, A) == pytest.approx(3.0)
+    assert od.linked_star_card([P, Q], [P], Q, A) == pytest.approx(1.5)
 
 
 def test_odyssey_linked_star_empty_cp(engines):
     od = engines["odyssey"]
-    assert od.linked_star_card([Q], [P], Q) == 0.0  # toy1 has no CP entries
+    assert od.linked_star_card([Q], [P], Q, A) == 0.0  # toy1 has no CP entries
 
 
 def test_odyssey_link_predicate_must_be_in_star(engines):
     with pytest.raises(ValueError):
-        engines["odyssey"].linked_star_card([P], [Q], Q)
+        engines["odyssey"].linked_star_card([P], [Q], Q, A)
 
 
 def test_odyssey_plan_on_star_uses_charsets(toy1, toy1_summaries):
@@ -273,7 +274,7 @@ def test_odyssey_fallback_flagged(toy1, toy1_summaries):
     est = od.evaluate_plan(plan)
     assert est.fallback_used
     sg = make_estimator("semagrow", toy1_summaries, [toy1])
-    expected = sg.join_card(plan.left, plan.right, est.tp_est[0], est.tp_est[1], plan.edges)
+    expected = sg.join_card(plan, est.tp_est[0], est.tp_est[1])
     assert est.join_est == [pytest.approx(expected)]
 
 
@@ -298,11 +299,11 @@ class StubEstimator(CardinalityEstimator):
         self.leaf_cards = leaf_cards
         self.join_cards = join_cards
 
-    def tp_card(self, pattern, sources=None):
+    def tp_card(self, pattern):
         return float(self.leaf_cards[pattern.ordinal])
 
-    def join_card(self, left, right, left_card, right_card, edges):
-        return float(self.join_cards[frozenset(ordinals(left) | ordinals(right))])
+    def join_card(self, node, left_card, right_card):
+        return float(self.join_cards[ordinals(node)])
 
 
 def test_estimate_plan_with_injected_stub():
@@ -390,7 +391,7 @@ def test_estimates_do_not_depend_on_source_order(monkeypatch):
             monkeypatch.setattr(estimator, "sources_for", lambda _tp, order=order: order)
             estimates.setdefault(engine, set()).add(estimator.tp_card(leaf))
     odyssey = make_estimator("odyssey", summaries, [])
-    estimates["odyssey"] = {odyssey.star_card([P, Q], sources=order) for order in orders}
+    estimates["odyssey"] = {odyssey.star_card([P, Q], order) for order in orders}
 
     assert {engine: len(values) for engine, values in estimates.items()} == dict.fromkeys(estimates, 1)
     # The exactly rounded sum of the three terms is 0.6.

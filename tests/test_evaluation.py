@@ -17,19 +17,19 @@ class RaisingEstimator(LhdEstimator):
         self.error = error
         self.calls = 0
 
-    def tp_card(self, tp, sources=None):
+    def tp_card(self, tp):
         self.calls += 1
         raise self.error
 
 
 class NanEstimator(LhdEstimator):
-    def tp_card(self, tp, sources=None):
+    def tp_card(self, tp):
         return float("nan")
 
 
 def _evaluate(toy1, toy1_summaries, error):
     estimator = RaisingEstimator(toy1_summaries, [toy1], error)
-    return evaluate_query("q", parse_query(QUERY), estimator, [toy1], Oracle([toy1]))
+    return evaluate_query("q", parse_query(QUERY), estimator, Oracle([toy1]))
 
 
 def test_estimation_error_gives_failed_row(toy1, toy1_summaries):
@@ -55,7 +55,7 @@ def test_invalid_leaf_estimate_gives_failed_row_on_every_run(toy1, toy1_summarie
     planner's first join estimate for two. The memoised NaN fails again."""
     estimator = NanEstimator(toy1_summaries, [toy1])
     bgp = parse_query(query)
-    rows = [evaluate_query("q", bgp, estimator, [toy1], Oracle([toy1])) for _ in range(2)]
+    rows = [evaluate_query("q", bgp, estimator, Oracle([toy1])) for _ in range(2)]
     for row in rows:
         assert row.status == STATUS_FAILED
         assert row.num_joins == 0

@@ -147,7 +147,7 @@ def test_trace_toy_star(toy1, toy1_summaries):
     plan = join(Leaf(tp("?s", "p", "?a", 0)), Leaf(tp("?s", "q", "?b", 1)))
     for engine in ("costfed", "splendid", "lhd", "semagrow", "odyssey"):
         estimator = make_estimator(engine, toy1_summaries, [toy1])
-        trace = trace_plan(plan, estimator, [toy1], query_id="toy_star")
+        trace = trace_plan(plan, estimator, Oracle([toy1]), query_id="toy_star")
         assert trace.tp_real == (3.0, 2.0)
         assert trace.join_real == (1.0,)
         assert trace.engine == engine
@@ -157,7 +157,7 @@ def test_trace_fig_example(fig_store, fig_summaries):
     bgp = parse_query(fig_example_query())
     plan = join(join(Leaf(bgp.patterns[0]), Leaf(bgp.patterns[1])), Leaf(bgp.patterns[2]))
     estimator = make_estimator("costfed", fig_summaries, [fig_store])
-    trace = trace_plan(plan, estimator, [fig_store], query_id="fig1")
+    trace = trace_plan(plan, estimator, Oracle([fig_store]), query_id="fig1")
     assert trace.tp_real == (100.0, 200.0, 300.0)
     assert trace.join_real == (50.0, 50.0)
 
@@ -176,17 +176,15 @@ def test_trace_worked_example_with_stub_estimator(fig_store):
         def __init__(self):
             pass
 
-        def tp_card(self, pattern, sources=None):
+        def tp_card(self, pattern):
             return {0: 90.0, 1: 250.0, 2: 300.0}[pattern.ordinal]
 
-        def join_card(self, left, right, left_card, right_card, edges):
-            return {frozenset({0, 1}): 65.0, frozenset({0, 1, 2}): 150.0}[
-                frozenset(ordinals(left) | ordinals(right))
-            ]
+        def join_card(self, node, left_card, right_card):
+            return {frozenset({0, 1}): 65.0, frozenset({0, 1, 2}): 150.0}[ordinals(node)]
 
     bgp = parse_query(fig_example_query())
     plan = join(join(Leaf(bgp.patterns[0]), Leaf(bgp.patterns[1])), Leaf(bgp.patterns[2]))
-    trace = trace_plan(plan, Stub(), [fig_store], query_id="fig1")
+    trace = trace_plan(plan, Stub(), Oracle([fig_store]), query_id="fig1")
     assert trace.tp_real + trace.join_real == (100.0, 200.0, 300.0, 50.0, 50.0)
     assert trace.tp_est + trace.join_est == (90.0, 250.0, 300.0, 65.0, 150.0)
     metrics = bundle(trace)
@@ -202,7 +200,7 @@ def test_trace_over_empty_store():
     summaries = build_all([empty])
     plan = join(Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1)))
     estimator = make_estimator("splendid", summaries, [empty])
-    trace = trace_plan(plan, estimator, [empty])
+    trace = trace_plan(plan, estimator, Oracle([empty]))
     assert trace.tp_real == (0.0, 0.0)
     assert trace.join_real == (0.0,)
     assert trace.tp_est == (0.0, 0.0)

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import tp
 
+from fedcard.estimators import make_estimator
 from fedcard.expr import Leaf, describe, join, join_nodes, leaves, patterns as expr_patterns
 from fedcard.fixtures import fig_example_query
 from fedcard.ntriples import Triple, iri
@@ -144,10 +145,11 @@ def test_planner_soundness_with_oracle_random():
         assert result in (PlanClass.OPTIMAL, PlanClass.ONLY_PLAN)
 
 
-def test_tp_sources_count(toy_ab):
+def test_tp_sources_count(toy_ab, toy_ab_summaries):
+    estimator = make_estimator("lhd", toy_ab_summaries, toy_ab)
     bgp = parse_query(
         "SELECT * WHERE { ?x <http://example.org/toy/p> ?y . ?x <http://example.org/toy/q> ?z }"
     )
-    assert tp_sources_count(bgp, toy_ab) == 3  # p -> {A}, q -> {A, B}
+    assert tp_sources_count(bgp, estimator) == 3  # p -> {A}, q -> {A, B}
     nothing = parse_query("SELECT * WHERE { ?x <http://example.org/toy/absent> ?y }")
-    assert tp_sources_count(nothing, toy_ab) == 0
+    assert tp_sources_count(nothing, estimator) == 0

@@ -1,11 +1,12 @@
 import pytest
 
+from helpers import join_edges
+
 from fedcard.ntriples import iri, literal
 from fedcard.query import (
     JoinKind,
     QueryParseError,
     Var,
-    join_edges,
     parse_query,
 )
 
