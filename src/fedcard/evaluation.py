@@ -14,9 +14,9 @@ from typing import Optional, Sequence, Union
 
 from .estimators import CardinalityEstimator, Engine, make_estimator
 from .estimators.base import EstimationError
-from .expr import join_nodes
+from .expr import Expression, join_nodes
 from .metrics import MetricBundle, bundle
-from .oracle import Oracle, OracleBlowupError, trace_plan
+from .oracle import CardinalityTrace, Oracle, OracleBlowupError, trace_plan
 from .planner import PlanClass, classify_plan, greedy_left_deep_plan, tp_sources_count
 from .query import BasicGraphPattern, QueryParseError, parse_query
 from .results import RESULTS_HEADER, read_results_csv, read_runtimes_csv  # noqa: F401
@@ -30,16 +30,26 @@ STATUS_BLOWUP = "oracle_blowup"
 
 @dataclass(slots=True)
 class EvalRow:
+    """One (query, engine) record; its results-CSV row is a projection of it."""
+
     query_id: str
     engine: str
     status: str = STATUS_OK
     metrics: Optional[MetricBundle] = None
     plan_class: Optional[PlanClass] = None
     num_tp: int = 0
-    num_joins: int = 0
     tp_sources: int = 0
-    fallback_used: bool = False
+    plan: Optional[Expression] = None
+    trace: Optional[CardinalityTrace] = None
     error: str = ""
+
+    @property
+    def num_joins(self) -> int:
+        return len(join_nodes(self.plan)) if self.plan is not None else 0
+
+    @property
+    def fallback_used(self) -> bool:
+        return self.trace is not None and self.trace.fallback_used
 
     def csv_fields(self) -> list[str]:
         def real(value: Optional[float]) -> str:
@@ -70,7 +80,7 @@ def evaluate_query(
     estimator: CardinalityEstimator,
     oracle: Oracle,
 ) -> EvalRow:
-    """One evaluation row: plan, trace, metrics, classification, #T."""
+    """One row, keeping its plan and trace (if reached), class, #T, error, and ``ok`` metrics."""
     row = EvalRow(
         query_id=query_id,
         engine=estimator.name,
@@ -78,25 +88,18 @@ def evaluate_query(
         tp_sources=tp_sources_count(bgp, estimator),
     )
     try:
-        plan = greedy_left_deep_plan(bgp, estimator.expression_card)
-        row.num_joins = len(join_nodes(plan))
-        trace = trace_plan(plan, estimator, oracle, query_id=query_id)
-        row.fallback_used = trace.fallback_used
-        row.metrics = bundle(trace)
-        row.plan_class = classify_plan(plan, oracle.cardinality)
+        row.plan = greedy_left_deep_plan(bgp, estimator.expression_card)
+        row.trace = trace_plan(row.plan, estimator, oracle, query_id=query_id)
+        row.plan_class = classify_plan(row.plan, oracle.cardinality)
+    except OracleBlowupError as exc:
+        row.status, row.plan_class, row.error = STATUS_BLOWUP, PlanClass.FAILED, str(exc)
+    except EstimationError as exc:
+        row.status, row.plan_class, row.error = STATUS_FAILED, PlanClass.FAILED, str(exc)
+    else:
         if row.plan_class is PlanClass.FAILED:
             row.status = STATUS_BLOWUP
-            row.metrics = None
-    except OracleBlowupError as exc:
-        row.status = STATUS_BLOWUP
-        row.plan_class = PlanClass.FAILED
-        row.metrics = None
-        row.error = str(exc)
-    except EstimationError as exc:
-        row.status = STATUS_FAILED
-        row.plan_class = PlanClass.FAILED
-        row.metrics = None
-        row.error = str(exc)
+        else:
+            row.metrics = bundle(row.trace)
     return row
 
 

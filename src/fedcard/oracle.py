@@ -12,10 +12,11 @@ Yannakakis-style evaluation). A count-only node (one asked for no
 variables) is pure arithmetic: a leaf's total is the length of its matches,
 and a join's is ``sum(left[k] * right[k])`` over maps keyed by exactly the
 shared variables. Leaf bindings come from the union of all registered
-sources, and bindings from different sources join freely. A configurable
-cap on every node's bag size (its total count, not its map size) turns
-runaway joins into a hard error instead of a silently truncated (and
-therefore wrong) count.
+sources, and bindings from different sources join freely. Every real count
+of a trace, leaf or join, is an ``Oracle.cardinality`` lookup, and a
+configurable cap on every node's bag size (its total count, not its map
+size; a one-pattern query's leaf included) turns runaway joins into a hard
+error instead of a silently truncated (and therefore wrong) count.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from operator import itemgetter, mul
 from typing import Callable, Optional, Sequence
 
 from .estimators.base import CardinalityEstimator, PlanEstimates
-from .expr import Expression, Leaf, join_nodes, ordinals, patterns as expr_patterns, variables
+from .expr import Expression, Leaf, join_nodes, leaves, ordinals, variables
 from .query import TriplePattern, Var
 from .store import TripleStore, match
 
@@ -82,7 +83,7 @@ def _group(counts: Counts, key_of: Callable, part_of: Callable) -> dict[tuple, C
 
 
 def true_tp_card(tp: TriplePattern, stores: Sequence[TripleStore]) -> int:
-    """Exact cardinality of one pattern, summed over the stores."""
+    """Exact, uncapped cardinality of one pattern, summed over the stores (a test reference)."""
     return sum(len(match(store, tp)) for store in stores)
 
 
@@ -230,17 +231,18 @@ def trace_plan(
 ) -> CardinalityTrace:
     """Real and estimated cardinality vectors for every plan node.
 
-    Real counts come from the oracle's stores. Triple-pattern entries are
-    indexed by pattern ordinal, join entries by bottom-up join order. Real
-    counts never apply DISTINCT projection.
+    Estimates come first, so an EstimationError wins over a blow-up; every
+    real count, leaf or join, is then ``oracle.cardinality`` of its node.
+    Triple-pattern entries are indexed by pattern ordinal, join entries by
+    bottom-up join order. Real counts never apply DISTINCT projection.
     """
     estimates: PlanEstimates = estimator.evaluate_plan(plan)
 
-    tps = sorted(expr_patterns(plan), key=lambda tp: tp.ordinal)
-    tp_real = tuple(float(true_tp_card(tp, oracle.stores)) for tp in tps)
-    tp_est = tuple(estimates.tp_est[tp.ordinal] for tp in tps)
-
+    # Counting the joins first caches every leaf's total, so the leaf counts are lookups.
     join_real = tuple(float(oracle.cardinality(node)) for node in join_nodes(plan))
+    tp_leaves = sorted(leaves(plan), key=lambda leaf: leaf.pattern.ordinal)
+    tp_real = tuple(float(oracle.cardinality(leaf)) for leaf in tp_leaves)
+    tp_est = tuple(estimates.tp_est[leaf.pattern.ordinal] for leaf in tp_leaves)
     return CardinalityTrace(
         query_id=query_id,
         engine=estimator.name,

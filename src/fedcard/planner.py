@@ -28,11 +28,6 @@ class PlanClass(enum.Enum):
     FAILED = "Failed"
 
 
-def _tiebreak(tp: TriplePattern) -> tuple[int, str]:
-    predicate = tp.bound_predicate() or ""
-    return (tp.ordinal, predicate)
-
-
 def _connected(a: TriplePattern, b: TriplePattern) -> bool:
     return bool(a.variables() & b.variables())
 
@@ -62,13 +57,13 @@ def greedy_left_deep_plan(bgp: BasicGraphPattern, card: CardFn) -> Expression:
         for tp in remaining
     }
     startable = [tp for tp in remaining if has_partner[tp.ordinal]] or remaining
-    first = min(startable, key=lambda tp: (leaf_cards[tp.ordinal], _tiebreak(tp)))
+    first = min(startable, key=lambda tp: (leaf_cards[tp.ordinal], tp.ordinal))
     plan: Expression = Leaf(first)
     remaining.remove(first)
 
     while remaining:
         extensions = [join(plan, Leaf(tp)) for tp in _executable(plan, remaining)]
-        plan = min(extensions, key=lambda node: (card(node), _tiebreak(node.right.pattern)))
+        plan = min(extensions, key=lambda node: (card(node), node.right.pattern.ordinal))
         remaining.remove(plan.right.pattern)
     return plan
 

@@ -1,14 +1,28 @@
+from collections import defaultdict
+from pathlib import Path
+
 import pytest
 
 from conftest import TOY
 
-from fedcard.estimators import EstimationError, LhdEstimator
-from fedcard.evaluation import STATUS_FAILED, evaluate_query
-from fedcard.expr import Leaf
-from fedcard.oracle import Oracle
+from fedcard.estimators import ENGINE_NAMES, EstimationError, LhdEstimator, make_estimator
+from fedcard.evaluation import (
+    STATUS_BLOWUP,
+    STATUS_FAILED,
+    STATUS_OK,
+    evaluate_queries,
+    evaluate_query,
+    rows_to_csv,
+)
+from fedcard.expr import Leaf, join_nodes, patterns
+from fedcard.fixtures import bench_queries, bench_stores
+from fedcard.oracle import Oracle, true_tp_card
+from fedcard.planner import PlanClass
 from fedcard.query import parse_query
 
 QUERY = f"SELECT * WHERE {{ ?x <{TOY}p> ?y . ?x <{TOY}q> ?z }}"
+SINGLE = f"SELECT * WHERE {{ ?s <{TOY}p> ?o }}"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class RaisingEstimator(LhdEstimator):
@@ -71,3 +85,45 @@ def test_raising_estimate_is_not_memoised(toy1, toy1_summaries):
         with pytest.raises(EstimationError, match="bad estimate"):
             estimator.evaluate_plan(plan)
         assert estimator.calls == calls
+
+
+@pytest.mark.parametrize("cap, status", [(2, STATUS_BLOWUP), (3, STATUS_OK)])
+def test_cap_applies_to_a_one_pattern_query(toy1, toy1_summaries, cap, status):
+    """toy1 has 3 triples with predicate p: the oracle counts the only
+    pattern of the query, so a cap of 2 blows it up and a cap of 3 does not."""
+    bgp = parse_query(SINGLE)
+    for engine in ENGINE_NAMES:
+        estimator = make_estimator(engine, toy1_summaries, [toy1])
+        row = evaluate_query("q", bgp, estimator, Oracle([toy1], cap=cap))
+        assert row.status == status
+        assert row.num_joins == 0
+        if status == STATUS_BLOWUP:
+            assert row.plan_class is PlanClass.FAILED
+            assert row.metrics is None
+            assert row.error == "oracle blow-up: intermediate result of 3 bindings exceeds cap 2"
+        else:
+            assert row.plan_class is PlanClass.ONLY_PLAN
+            assert row.trace.tp_real == (3.0,)
+
+
+def test_rows_keep_plan_and_trace_counted_by_the_query_oracle():
+    """Every bench row keeps its plan and trace; the trace's real counts are
+    the query oracle's, its leaf vector is the same for the query's five
+    engines, and the CSV projected from the rows is the golden one."""
+    stores = bench_stores()
+    rows = evaluate_queries(bench_queries(), ENGINE_NAMES, stores)
+    assert rows_to_csv(rows) == (GOLDEN / "bench_results.csv").read_text(encoding="utf-8")
+
+    by_query = defaultdict(list)
+    for row in rows:
+        by_query[row.query_id].append(row)
+    for query_rows in by_query.values():
+        assert [row.status for row in query_rows] == [STATUS_OK] * len(ENGINE_NAMES)
+        oracle = Oracle(stores)
+        for row in query_rows:
+            tps = sorted(patterns(row.plan), key=lambda tp: tp.ordinal)
+            assert row.trace.tp_real == tuple(float(true_tp_card(tp, stores)) for tp in tps)
+            nodes = join_nodes(row.plan)
+            assert row.trace.join_real == tuple(float(oracle.cardinality(n)) for n in nodes)
+            assert row.num_joins == len(row.trace.join_real)
+        assert len({row.trace.tp_real for row in query_rows}) == 1

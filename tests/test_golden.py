@@ -5,6 +5,9 @@ refactor that changes a single byte of any of them fails here. Nothing
 reads summary files back, so these pins are what holds their format.
 ``bench_runtimes.csv`` is the benchmark's synthetic runtimes for the bench
 queries (``bench/gen.py``: ``runtimes_csv(bench_queries(20240, 50), 20240)``).
+``toy_cap3_results.csv`` is ``fedcard evaluate`` of the toy queries over toy
+store A with ``--oracle-cap 3``: ``toy_object_join`` blows up, and the three
+matches of ``toy_single``'s one pattern just fit.
 """
 
 import os
@@ -19,7 +22,14 @@ import fedcard
 from fedcard.cli import main
 from fedcard.estimators import ENGINE_NAMES
 from fedcard.evaluation import evaluate_queries, rows_to_csv
-from fedcard.fixtures import bench_queries, bench_stores, toy2_triples, write_ntriples
+from fedcard.fixtures import (
+    bench_queries,
+    bench_stores,
+    toy1_store,
+    toy2_triples,
+    toy_queries,
+    write_ntriples,
+)
 from fedcard.store import load_ntriples_file, load_store, load_store_dir, save_store
 from fedcard.summaries import save_summary
 
@@ -37,6 +47,12 @@ def test_bench_results_through_store_files_match_golden(tmp_path):
         save_store(store, tmp_path / f"{store.source_name}.store")
     rows = evaluate_queries(bench_queries(), ENGINE_NAMES, load_store_dir(tmp_path))
     expected = (GOLDEN / "bench_results.csv").read_text(encoding="utf-8")
+    assert rows_to_csv(rows) == expected
+
+
+def test_toy_results_under_a_cap_of_3_match_golden():
+    rows = evaluate_queries(toy_queries(), ENGINE_NAMES, [toy1_store()], cap=3)
+    expected = (GOLDEN / "toy_cap3_results.csv").read_text(encoding="utf-8")
     assert rows_to_csv(rows) == expected
 
 
