@@ -9,7 +9,7 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from ..expr import Expression, Join, Leaf
-from ..query import JoinEdge, Slot, TriplePattern, Var
+from ..query import JoinEdge, TriplePattern, Var
 from ..store import TripleStore, match
 from ..summaries import SourceVoid, SummarySet
 
@@ -116,15 +116,14 @@ class CardinalityEstimator:
         return {}
 
     @cached_property
-    def _selected_sources(self) -> dict[tuple[Slot, Slot, Slot], frozenset[str]]:
+    def _selected_sources(self) -> dict[tuple[str, str, str], frozenset[str]]:
         return {}
 
     def sources_for(self, tp: TriplePattern) -> frozenset[str]:
-        """``select_sources`` memoised by the pattern's slots, not its ordinal."""
-        key = (tp.subject, tp.predicate, tp.object)
-        sources = self._selected_sources.get(key)
+        """``select_sources`` memoised by the pattern's ``slot_key``, not its ordinal."""
+        sources = self._selected_sources.get(tp.slot_key)
         if sources is None:
-            sources = self._selected_sources[key] = select_sources(tp, self.stores)
+            sources = self._selected_sources[tp.slot_key] = select_sources(tp, self.stores)
         return sources
 
     def distinct_values(

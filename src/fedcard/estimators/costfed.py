@@ -25,7 +25,7 @@ class CostFedEstimator(CardinalityEstimator):
         sources = self.sources_for(tp)
         if not sources:
             return 0.0
-        if not tp.variables():
+        if not tp.var_names:
             return 1.0
         void = self.summaries.void
         return math.fsum(void_leaf_card(tp, void.source(name)) for name in sources)

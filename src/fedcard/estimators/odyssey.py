@@ -29,10 +29,20 @@ class OdysseyEstimator(SemaGrowEstimator):
     def star_card(
         self, predicates: Sequence[str] | frozenset[str], sources: frozenset[str]
     ) -> float:
-        """Cardinality of a subject-rooted star over a bound predicate set."""
+        """Cardinality of a subject-rooted star over a bound predicate set.
+
+        A one-predicate star is read from VoID: summed over the sets that
+        hold p, occurrences(p) counts every triple with predicate p, so the
+        characteristic-set sum is VoID's triple count of p.
+        """
         pred_set = frozenset(predicates)
         if not pred_set:
             raise ValueError("star predicate set must be non-empty")
+        if len(pred_set) == 1:
+            (p,) = pred_set
+            void = self.summaries.void
+            found = [void.source(name).predicates.get(p) for name in sources]
+            return float(sum(stats.triples for stats in found if stats is not None))
         terms = []
         for name in sources:
             src = self.summaries.charsets.source(name)
@@ -133,8 +143,8 @@ class OdysseyEstimator(SemaGrowEstimator):
             return None
         (_, p_k), (target_var, p_l), link_tp = links[0]
 
-        shared = {v for tp in group_a for v in tp.variables()} & {
-            v for tp in group_b for v in tp.variables()
+        shared = {v for tp in group_a for v in tp.var_names} & {
+            v for tp in group_b for v in tp.var_names
         }
         if shared != {target_var.name}:
             return None

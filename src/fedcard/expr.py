@@ -10,12 +10,32 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .query import JoinEdge, TriplePattern, edges_between
+from .query import JoinEdge, TriplePattern, cached_hash, edges_between, rebuild
+
+
+# A node caches its hash and what the per-row layers read of it (its leaves,
+# patterns, ordinals and variables) at construction, as the query objects do
+# (see ``query.cached_hash``). A join builds its facts from its children's.
 
 
 @dataclass(frozen=True, slots=True)
 class Leaf:
     pattern: TriplePattern
+    _hash: int = field(init=False, compare=False, repr=False)
+    patterns: tuple[TriplePattern, ...] = field(init=False, compare=False, repr=False)
+    ordinals: frozenset[int] = field(init=False, compare=False, repr=False)
+    variables: frozenset[str] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        tp = self.pattern
+        setattr_ = object.__setattr__
+        setattr_(self, "_hash", hash((tp,)))
+        setattr_(self, "patterns", (tp,))
+        setattr_(self, "ordinals", frozenset((tp.ordinal,)))
+        setattr_(self, "variables", tp.var_names)
+
+    __hash__ = cached_hash
+    __reduce__ = rebuild
 
 
 @dataclass(frozen=True, slots=True)
@@ -23,6 +43,23 @@ class Join:
     left: "Expression"
     right: "Expression"
     edges: tuple[JoinEdge, ...] = field(default_factory=tuple)
+    _hash: int = field(init=False, compare=False, repr=False)
+    leaves: tuple[Leaf, ...] = field(init=False, compare=False, repr=False)
+    patterns: tuple[TriplePattern, ...] = field(init=False, compare=False, repr=False)
+    ordinals: frozenset[int] = field(init=False, compare=False, repr=False)
+    variables: frozenset[str] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        left, right = self.left, self.right
+        setattr_ = object.__setattr__
+        setattr_(self, "_hash", hash((left, right, self.edges)))
+        setattr_(self, "leaves", (*leaves(left), *leaves(right)))
+        setattr_(self, "patterns", left.patterns + right.patterns)
+        setattr_(self, "ordinals", left.ordinals | right.ordinals)
+        setattr_(self, "variables", left.variables | right.variables)
+
+    __hash__ = cached_hash
+    __reduce__ = rebuild
 
 
 Expression = Union[Leaf, Join]
@@ -32,15 +69,16 @@ def leaves(expr: Expression) -> list[Leaf]:
     """Leaves in left-to-right order."""
     if isinstance(expr, Leaf):
         return [expr]
-    return leaves(expr.left) + leaves(expr.right)
+    return list(expr.leaves)
 
 
-def patterns(expr: Expression) -> list[TriplePattern]:
-    return [leaf.pattern for leaf in leaves(expr)]
+def patterns(expr: Expression) -> tuple[TriplePattern, ...]:
+    """Patterns of the leaves in left-to-right order."""
+    return expr.patterns
 
 
 def ordinals(expr: Expression) -> frozenset[int]:
-    return frozenset(tp.ordinal for tp in patterns(expr))
+    return expr.ordinals
 
 
 def join_nodes(expr: Expression) -> list[Join]:
@@ -50,11 +88,8 @@ def join_nodes(expr: Expression) -> list[Join]:
     return join_nodes(expr.left) + join_nodes(expr.right) + [expr]
 
 
-def variables(expr: Expression) -> set[str]:
-    out: set[str] = set()
-    for tp in patterns(expr):
-        out |= tp.variables()
-    return out
+def variables(expr: Expression) -> frozenset[str]:
+    return expr.variables
 
 
 def cross_edges(left: Expression, right: Expression) -> tuple[JoinEdge, ...]:

@@ -42,9 +42,6 @@ _UNESCAPES = {v: "\\" + k for k, v in _ESCAPES.items() if k not in ("'",)}
 _IRI_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`\\]')
 # The same set less the backslash, which starts an escape in a token.
 _IRI_RAW_FORBIDDEN = re.compile(r'[\x00-\x20<>"{}|^`]')
-# N-Triples ends a line at CR or LF only; str.splitlines would also split
-# inside a term at U+2028, U+0085 and the other Unicode line breaks.
-_EOL = re.compile(r"\r\n|\r|\n")
 
 # One statement line: subject, predicate and object tokens, then ".". Each
 # token spans exactly what ``_LineScanner`` consumes for it (an IRI to the
@@ -60,6 +57,15 @@ _STATEMENT = re.compile(
     rf"({_IRI_TOKEN}|{_BLANK_TOKEN}|{_LITERAL_TOKEN})[ \t]*\.",
     re.DOTALL,
 )
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text``, each ended by CRLF, a lone CR or LF.
+
+    N-Triples ends a line at CR or LF only; str.splitlines would also split
+    inside a term at U+2028, U+0085 and the other Unicode line breaks.
+    """
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
 
 
 class TermKind(enum.Enum):
@@ -345,7 +351,7 @@ def read_ntriples(text: str) -> tuple[list[str], list[int]]:
         return indexes
 
     statement = _STATEMENT.fullmatch
-    for lineno, raw_line in enumerate(_EOL.split(text), start=1):
+    for lineno, raw_line in enumerate(split_lines(text), start=1):
         line = raw_line.strip()
         if not line or line[0] == "#":
             continue

@@ -24,9 +24,9 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from operator import itemgetter, mul
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .estimators.base import CardinalityEstimator, PlanEstimates
 from .expr import Expression, Leaf, join_nodes, leaves, ordinals, variables
@@ -70,6 +70,13 @@ def _projector(fields: Sequence[int]) -> Callable[[tuple], tuple]:
         get = itemgetter(fields[0])
         return lambda row: (get(row),)
     return itemgetter(*fields)
+
+
+def _column_keys(rows: Counts, fields: Sequence[int]) -> Iterator[tuple]:
+    """The tuple of each row's items at ``fields``, in row order, built in C."""
+    if not fields:
+        return repeat((), len(rows))
+    return zip(*(map(itemgetter(i), rows) for i in fields))
 
 
 def _group(counts: Counts, key_of: Callable, part_of: Callable) -> dict[tuple, Counts]:
@@ -150,8 +157,7 @@ class Oracle:
             shared = sorted(lvars & rvars)
             if not keep:
                 # Both sides are keyed by exactly the shared variables, so the
-                # total is a sum of products over their keys, with no per-row
-                # loop as in the one-sided branch below.
+                # total is a sum of products over their keys.
                 if len(right) < len(left):
                     left, right = right, left
                 total = sum(map(mul, left.values(), map(right.get, left, repeat(0))))
@@ -164,15 +170,15 @@ class Oracle:
                 # that scales the other side's rows, which carry every kept variable.
                 if not keep <= lvars:
                     left, lnames, right = right, rnames, left
-                key_of = _projector([lnames.index(v) for v in shared])
-                scaled = [(row, n * m) for row, n in left.items() if (m := right.get(key_of(row)))]
-                total = sum(n for _, n in scaled)
+                keys = _column_keys(left, [lnames.index(v) for v in shared])
+                counts = list(map(mul, left.values(), map(right.get, keys, repeat(0))))
+                total = sum(counts)
                 if total > self.cap:
                     raise OracleBlowupError(total, self.cap)
-                out = _projector([lnames.index(v) for v in names])
+                # Each row that found a partner, re-projected onto the kept variables.
+                out = _column_keys(left, [lnames.index(v) for v in names])
                 result = {}
-                for row, n in scaled:
-                    key = out(row)
+                for key, n in compress(zip(out, counts), counts):
                     result[key] = result.get(key, 0) + n
             else:
                 lout = [v for v in names if v in lvars]

@@ -14,9 +14,9 @@ import enum
 from typing import Callable
 
 from .estimators.base import CardinalityEstimator
-from .expr import Expression, Leaf, is_left_deep, join, join_nodes, leaves, variables
+from .expr import Expression, Leaf, is_left_deep, join, join_nodes, leaves
 from .oracle import OracleBlowupError
-from .query import BasicGraphPattern, TriplePattern
+from .query import BasicGraphPattern
 
 CardFn = Callable[[Expression], float]
 
@@ -28,14 +28,13 @@ class PlanClass(enum.Enum):
     FAILED = "Failed"
 
 
-def _connected(a: TriplePattern, b: TriplePattern) -> bool:
-    return bool(a.variables() & b.variables())
+def _connected(a: Leaf, b: Leaf) -> bool:
+    return not a.variables.isdisjoint(b.variables)
 
 
-def _executable(left: Expression, remaining: list[TriplePattern]) -> list[TriplePattern]:
-    """Remaining patterns that join the left side; all of them if none does."""
-    left_vars = variables(left)
-    return [tp for tp in remaining if tp.variables() & left_vars] or remaining
+def _executable(left: Expression, remaining: list[Leaf]) -> list[Leaf]:
+    """Remaining leaves that join the left side; all of them if none does."""
+    return [leaf for leaf in remaining if not leaf.variables.isdisjoint(left.variables)] or remaining
 
 
 def greedy_left_deep_plan(bgp: BasicGraphPattern, card: CardFn) -> Expression:
@@ -47,24 +46,22 @@ def greedy_left_deep_plan(bgp: BasicGraphPattern, card: CardFn) -> Expression:
     """
     if not bgp.patterns:
         raise ValueError("cannot plan an empty BGP")
-    remaining = list(bgp.patterns)
+    # Each pattern's leaf is built once; every candidate join reuses it.
+    remaining = [Leaf(tp) for tp in bgp.patterns]
     if len(remaining) == 1:
-        return Leaf(remaining[0])
+        return remaining[0]
 
-    leaf_cards = {tp.ordinal: card(Leaf(tp)) for tp in remaining}
-    has_partner = {
-        tp.ordinal: any(_connected(tp, other) for other in remaining if other is not tp)
-        for tp in remaining
-    }
-    startable = [tp for tp in remaining if has_partner[tp.ordinal]] or remaining
-    first = min(startable, key=lambda tp: (leaf_cards[tp.ordinal], tp.ordinal))
-    plan: Expression = Leaf(first)
-    remaining.remove(first)
+    leaf_cards = {leaf: card(leaf) for leaf in remaining}
+    startable = [
+        leaf for leaf in remaining if any(_connected(leaf, o) for o in remaining if o is not leaf)
+    ] or remaining
+    plan: Expression = min(startable, key=lambda leaf: (leaf_cards[leaf], leaf.pattern.ordinal))
+    remaining.remove(plan)
 
     while remaining:
-        extensions = [join(plan, Leaf(tp)) for tp in _executable(plan, remaining)]
+        extensions = [join(plan, leaf) for leaf in _executable(plan, remaining)]
         plan = min(extensions, key=lambda node: (card(node), node.right.pattern.ordinal))
-        remaining.remove(plan.right.pattern)
+        remaining.remove(plan.right)
     return plan
 
 
@@ -86,15 +83,14 @@ def classify_plan(plan: Expression, real_card: CardFn) -> PlanClass:
     chain = leaves(plan)
     try:
         left: Expression = chain[0]
-        remaining = [leaf.pattern for leaf in chain[1:]]
-        for step_leaf in chain[1:]:
+        remaining = chain[1:]
+        for chosen in chain[1:]:
             candidates = _executable(left, remaining)
-            chosen = step_leaf.pattern
             if chosen not in candidates:
                 return PlanClass.SUB_OPTIMAL
-            step = join(left, step_leaf)
+            step = join(left, chosen)
             chosen_real = real_card(step)
-            others = [real_card(join(left, Leaf(tp))) for tp in candidates if tp != chosen]
+            others = [real_card(join(left, leaf)) for leaf in candidates if leaf != chosen]
             if chosen_real > min(others, default=chosen_real):
                 return PlanClass.SUB_OPTIMAL
             left = step

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Union
 
-from .ntriples import _EOL, NTriplesParseError, Term, TermKind, scan_term
+from .ntriples import NTriplesParseError, Term, TermKind, format_term, scan_term, split_lines
 
 _UNSUPPORTED_CLAUSES = (
     "OPTIONAL",
@@ -41,11 +41,35 @@ _UNSUPPORTED_CLAUSES = (
 )
 
 
+# Var, TriplePattern and JoinEdge (and expr's Leaf and Join) are memo keys on
+# every per-row path, so each caches its hash, and what else is read per row,
+# in a field that neither compares nor prints. The hash equals the one the
+# dataclass would compute.
+
+
+def cached_hash(obj) -> int:
+    """``__hash__``: the hash computed once, at construction."""
+    return obj._hash
+
+
+def rebuild(obj) -> tuple:
+    """``__reduce__`` through the constructor, so that a pickled or copied
+    object never carries a hash from another process's string-hash seed."""
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj) if f.init)
+
+
 @dataclass(frozen=True, slots=True)
 class Var:
     """A query variable; ``name`` excludes the leading ``?``."""
 
     name: str
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.name,)))
+
+    __hash__ = cached_hash
+    __reduce__ = rebuild
 
 
 Slot = Union[Term, Var]
@@ -55,18 +79,38 @@ SUBJECT, PREDICATE, OBJECT = "s", "p", "o"
 
 @dataclass(frozen=True, slots=True)
 class TriplePattern:
-    """One triple pattern; ``ordinal`` is its 0-based position in the query."""
+    """One triple pattern; ``ordinal`` is its 0-based position in the query.
+
+    ``var_names`` is the frozenset of its variable names. ``slot_key`` names
+    its slots, not its ordinal: the canonical N-Triples token of each bound
+    slot and ``?name`` of each variable, so ``?x p ?x`` and ``?x p ?y`` get
+    different keys; the store and estimator memos are keyed by it.
+    """
 
     subject: Slot
     predicate: Slot
     object: Slot
     ordinal: int = 0
+    _hash: int = field(init=False, compare=False, repr=False)
+    var_names: frozenset[str] = field(init=False, compare=False, repr=False)
+    slot_key: tuple[str, str, str] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        spo = (self.subject, self.predicate, self.object)
+        setattr_ = object.__setattr__
+        setattr_(self, "_hash", hash((*spo, self.ordinal)))
+        setattr_(self, "var_names", frozenset(s.name for s in spo if isinstance(s, Var)))
+        key = tuple(f"?{s.name}" if isinstance(s, Var) else format_term(s) for s in spo)
+        setattr_(self, "slot_key", key)
+
+    __hash__ = cached_hash
+    __reduce__ = rebuild
 
     def slots(self) -> tuple[tuple[str, Slot], ...]:
         return ((SUBJECT, self.subject), (PREDICATE, self.predicate), (OBJECT, self.object))
 
     def variables(self) -> set[str]:
-        return {slot.name for _, slot in self.slots() if isinstance(slot, Var)}
+        return set(self.var_names)
 
     def var_positions(self, name: str) -> tuple[str, ...]:
         return tuple(pos for pos, slot in self.slots() if isinstance(slot, Var) and slot.name == name)
@@ -86,7 +130,7 @@ class BasicGraphPattern:
     def variables(self) -> set[str]:
         out: set[str] = set()
         for tp in self.patterns:
-            out |= tp.variables()
+            out |= tp.var_names
         return out
 
 
@@ -95,6 +139,11 @@ class JoinKind(enum.Enum):
     SUBJECT_OBJECT = "so"
     OBJECT_OBJECT = "oo"
     PREDICATE_INVOLVED = "pred"
+
+    # Members are singletons, so identity hashing is consistent with
+    # equality; Enum.__hash__ hashes the member name in Python code, on
+    # every JoinEdge hash.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,6 +161,14 @@ class JoinEdge:
     kind: JoinKind
     left_pos: str
     right_pos: str
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        spec = (self.left, self.right, self.variable, self.kind, self.left_pos, self.right_pos)
+        object.__setattr__(self, "_hash", hash(spec))
+
+    __hash__ = cached_hash
+    __reduce__ = rebuild
 
 
 class QueryParseError(ValueError):
@@ -148,7 +205,7 @@ def _tokenize(text: str) -> list[_Token]:
     tokens = []
     # Lines end where N-Triples lines do (\n, \r\n or a lone \r), so no token
     # spans lines and a column is an offset within the line.
-    for line, line_text in enumerate(_EOL.split(text), start=1):
+    for line, line_text in enumerate(split_lines(text), start=1):
         pos = 0
         while pos < len(line_text):
             column = pos + 1
@@ -314,6 +371,6 @@ def _edge_for_pair(left: TriplePattern, right: TriplePattern, variable: str) -> 
 def edges_between(left: TriplePattern, right: TriplePattern) -> list[JoinEdge]:
     """Join edges between one unordered pattern pair, one per shared variable."""
     first, second = (left, right) if left.ordinal < right.ordinal else (right, left)
-    shared = sorted(first.variables() & second.variables())
+    shared = sorted(first.var_names & second.var_names)
     return [_edge_for_pair(first, second, v) for v in shared]
 

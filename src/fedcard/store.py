@@ -40,7 +40,7 @@ from .ntriples import (
     parse_term,
     read_ntriples,
 )
-from .query import Slot, TriplePattern, Var
+from .query import TriplePattern
 
 STORE_FORMAT_VERSION = 2
 
@@ -101,7 +101,7 @@ class TripleStore:
             by_predicate[row[1]].append(row)
         # Predicate id -> its rows in store order, predicates in first-seen order.
         self.by_predicate: dict[int, list[IdRow]] = dict(by_predicate)
-        self._match_memo: dict[tuple[Slot, Slot, Slot], tuple[IdRow, ...]] = {}
+        self._match_memo: dict[tuple[str, str, str], tuple[IdRow, ...]] = {}
 
     @property
     def triples(self) -> tuple[Triple, ...]:
@@ -130,28 +130,29 @@ def match(store: TripleStore, pattern: TriplePattern) -> tuple[IdRow, ...]:
 
     A variable repeated within the pattern must bind to the same term in
     every position it occupies. The result is memoised on the store by the
-    pattern's slots (not its ordinal, so the same pattern in another query
-    hits the memo); every call returns the memoised tuple itself.
+    pattern's ``slot_key`` (its slots' canonical tokens and variable names,
+    not its ordinal, so the same pattern in another query hits the memo);
+    every call returns the memoised tuple itself.
     """
-    key = (pattern.subject, pattern.predicate, pattern.object)
+    key = pattern.slot_key
     found = store._match_memo.get(key)
     if found is None:
-        found = store._match_memo[key] = _scan(store, pattern)
+        found = store._match_memo[key] = _scan(store, key)
     return found
 
 
-def _scan(store: TripleStore, pattern: TriplePattern) -> tuple[IdRow, ...]:
+def _scan(store: TripleStore, key: tuple[str, str, str]) -> tuple[IdRow, ...]:
     candidates: Sequence[IdRow] = store.rows
     fixed: list[tuple[int, int]] = []  # (position, id) of a bound subject or object
     same: list[tuple[int, int]] = []  # (position, earlier position) of a repeated variable
     first: dict[str, int] = {}
-    for position, slot in enumerate((pattern.subject, pattern.predicate, pattern.object)):
-        if isinstance(slot, Var):
-            earlier = first.setdefault(slot.name, position)
+    for position, token in enumerate(key):
+        if token[0] == "?":  # a variable; a term's canonical token starts with <, _ or "
+            earlier = first.setdefault(token, position)
             if earlier != position:
                 same.append((position, earlier))
         else:
-            found = _IDS.get(format_term(slot))
+            found = _IDS.get(token)
             if found is None:  # a term never interned occurs in no store
                 return ()
             if position == 1:

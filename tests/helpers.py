@@ -3,25 +3,33 @@
 ``evaluate_expression`` expands the oracle's multiplicity map into a bag of
 binding dicts; ``decode_keys`` decodes the term-id keys of such a map;
 ``lhd_multi_join_card`` is LHD's flat multi-join formula, the reference for
-its recursive ``join_card``; ``join_edges`` lists every join edge of a BGP;
+its recursive ``join_card``; ``charset_star_card`` is Odyssey's star formula
+over every characteristic set, the reference for ``star_card``; ``join_edges`` lists every join edge of a BGP;
 ``match_triples`` decodes the id rows of ``store.match``;
 ``scanner_ntriples`` is the N-Triples reader that reads every line term by
-term with the token scanner, the reference for ``parse_ntriples``; ``average_ranks_by_sorting`` and
+term with the token scanner, the reference for ``parse_ntriples``, and
+``EOL`` the line-end expression, the reference for ``split_lines``;
+``average_ranks_by_sorting`` and
 ``brute_force_spearman_p`` are the references for the average ranks and the
 exact Spearman p of ``fedcard.stats``.
 """
 
 import itertools
 import math
+import re
 import statistics
 from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from fedcard.expr import Expression, variables
-from fedcard.ntriples import _EOL, NTriplesParseError, Term, TermKind, Triple, _LineScanner
+from fedcard.ntriples import NTriplesParseError, Term, TermKind, Triple, _LineScanner
 from fedcard.oracle import Oracle
 from fedcard.query import BasicGraphPattern, JoinEdge, TriplePattern, edges_between
 from fedcard.store import TripleStore, match, term_of
+
+# The line ends of N-Triples as one regular expression: the reference for
+# ``ntriples.split_lines``.
+EOL = re.compile(r"\r\n|\r|\n")
 
 
 def evaluate_expression(
@@ -60,6 +68,22 @@ def lhd_multi_join_card(
     return card
 
 
+def charset_star_card(charsets, predicates, sources) -> float:
+    """Odyssey's star formula summed over every characteristic set of every source.
+
+    The reference for ``OdysseyEstimator.star_card``, which reads a
+    one-predicate star from VoID instead.
+    """
+    pred_set = frozenset(predicates)
+    terms = []
+    for name in sources:
+        for charset, stats in charsets.source(name).charsets.items():
+            if pred_set <= charset:
+                numerator = math.prod(stats.occurrences.get(p, 0) for p in pred_set)
+                terms.append(numerator / stats.count ** (len(pred_set) - 1))
+    return math.fsum(terms)
+
+
 def join_edges(bgp: BasicGraphPattern) -> list[JoinEdge]:
     """All join edges of a BGP: one per unordered pattern pair per shared variable."""
     out: list[JoinEdge] = []
@@ -81,7 +105,7 @@ def scanner_ntriples(text: str) -> list[Triple]:
     Raises NTriplesParseError for the first fault, in reading order.
     """
     triples = []
-    for lineno, raw_line in enumerate(_EOL.split(text), start=1):
+    for lineno, raw_line in enumerate(EOL.split(text), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue

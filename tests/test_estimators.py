@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import TOY, tp
-from helpers import lhd_multi_join_card
+from helpers import charset_star_card, lhd_multi_join_card
 
 from fedcard.estimators import (
     CardinalityEstimator,
@@ -14,6 +14,7 @@ from fedcard.estimators import (
     select_sources,
 )
 from fedcard.expr import Join, Leaf, join, ordinals
+from fedcard.fixtures import bench_stores
 from fedcard.summaries import (
     CharSetStats,
     CharSetSummary,
@@ -23,6 +24,7 @@ from fedcard.summaries import (
     SourceVoid,
     SummarySet,
     VoidSummary,
+    build_all,
 )
 
 P = TOY + "p"
@@ -229,6 +231,24 @@ def test_odyssey_star_cases(engines):
     od = engines["odyssey"]
     assert od.star_card([P, Q], A) == pytest.approx(1.0)
     assert od.star_card([P], A) == pytest.approx(3.0)  # exact: equals t_dp
+
+
+@pytest.mark.parametrize("corpus", ["toy", "toy2", "bench"])
+def test_odyssey_one_predicate_star_equals_the_charset_sum(corpus, toy_ab, toy2):
+    stores = {"toy": toy_ab, "toy2": [toy2], "bench": bench_stores()}[corpus]
+    summaries = build_all(stores)
+    od = make_estimator("odyssey", summaries, stores)
+    names = [store.source_name for store in stores]
+    predicates = {p for name in names for p in summaries.void.source(name).predicates}
+    subsets = [frozenset(c) for r in range(len(names) + 1) for c in itertools.combinations(names, r)]
+    for p in sorted(predicates):
+        for sources in subsets:
+            assert od.star_card([p], sources) == charset_star_card(summaries.charsets, [p], sources)
+    assert len(predicates) > 1
+    # Stars of two predicates still scan the characteristic sets.
+    everywhere = frozenset(names)
+    for pair in itertools.combinations(sorted(predicates), 2):
+        assert od.star_card(pair, everywhere) == charset_star_card(summaries.charsets, pair, everywhere)
 
 
 def test_odyssey_linked_star_toy2(toy2, toy2_summaries):

@@ -2,7 +2,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from helpers import scanner_ntriples
+from helpers import EOL, scanner_ntriples
 from hypothesis import given, settings, strategies as st
 
 from fedcard.fixtures import write_fixture_tree
@@ -19,6 +19,7 @@ from fedcard.ntriples import (
     parse_term,
     read_ntriples,
     scan_term,
+    split_lines,
 )
 from fedcard.store import build_store, load_ntriples_file
 
@@ -150,6 +151,29 @@ def test_iri_escapes_written_as_uchars():
     assert format_term(iri("http://x/>")) == "<http://x/\\u003E>"
     assert format_term(iri("http://x/a\\")) == "<http://x/a\\u005C>"
     assert format_term(iri("http://x/é")) == "<http://x/é>"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "a",
+        "a\n",
+        "a\r\nb\rc\nd",
+        "a\r\r\nb\n\r\n\rc\r",
+        "\r\n\r\n",
+        "\n\r",
+        "a\u2028b\r\nc\x85d\x0be\x0cf\u2029g\n",
+    ],
+)
+def test_split_lines_agrees_with_the_line_end_expression(text):
+    assert split_lines(text) == EOL.split(text)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(text=st.text(alphabet="ab\r\n\x85\u2028\x0b"))
+def test_split_lines_agrees_with_the_line_end_expression_on_any_mix(text):
+    assert split_lines(text) == EOL.split(text)
 
 
 def test_unicode_line_breaks_stay_inside_terms():

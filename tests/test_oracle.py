@@ -373,6 +373,34 @@ def test_cap_boundary(expr, total):
         assert (err.value.size, err.value.cap) == (total, total - 1)
 
 
+@pytest.mark.parametrize(
+    "left, right, keep",
+    [
+        # The kept side is keyed by ?x and the shared ?o, so its map is
+        # re-projected onto ?x alone.
+        (("?x", "p", "?o"), ("?y", "p", "?o"), {"x"}),
+        # The same with the kept side on the right.
+        (("?y", "p", "?o"), ("?x", "p", "?o"), {"x"}),
+        # Two shared variables, one of them kept.
+        (("?x", "p", "?o"), ("?x", "q", "?o"), {"o"}),
+        # No re-projection: the kept variables include every shared one.
+        (("?x", "p", "?o"), ("?y", "p", "?o"), {"x", "o"}),
+        # A cartesian join: the kept side's keys are empty tuples.
+        (("?x", "p", "?o"), ("?y", "q", "?z"), {"x"}),
+    ],
+)
+def test_one_sided_join_equals_the_expanded_bag(left, right, keep):
+    stores = [_fanout_store(), build_store("G", [Triple(toy_iri("s1"), toy_iri("q"), toy_iri("o"))])]
+    expr = join(Leaf(tp(*left, 0)), Leaf(tp(*right, 1)))
+    keep = frozenset(keep)
+    assert keep <= variables(expr.left) or keep <= variables(expr.right)
+    names = sorted(keep)
+    expected = Counter(tuple(row[v] for v in names) for row in evaluate_expression(expr, stores))
+    assert decode_keys(Oracle(stores).bindings(expr, keep)) == expected
+    rows = nested_loop_rows(expr, stores)
+    assert Counter(tuple(row[v] for v in names) for row in rows) == expected and rows
+
+
 def test_cartesian_query_counts_without_materialising():
     stores = bench_stores()
     tps = [
