@@ -14,7 +14,7 @@ import csv
 import io
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 import click
 
@@ -35,13 +35,18 @@ EXISTING_FILE = click.Path(exists=True, dir_okay=False)
 EXISTING_DIR = click.Path(exists=True, file_okay=False)
 
 
+def _fail(message: str, code: int) -> NoReturn:
+    """Print ``error: <message>`` to stderr and exit with ``code``."""
+    click.echo(f"error: {message}", err=True)
+    sys.exit(code)
+
+
 def _make_dir(path: Path) -> None:
     """Create ``path`` and its parents; a path that runs through a file exits 2."""
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        click.echo(f"error: cannot create directory {path}: {exc.strerror}", err=True)
-        sys.exit(2)
+        _fail(f"cannot create directory {path}: {exc.strerror}", 2)
 
 
 @click.group()
@@ -60,19 +65,16 @@ def ingest(source: str, file_path: str, out_dir: str) -> None:
 
     path = Path(file_path)
     if not path.exists():
-        click.echo(f"error: no such file: {path}", err=True)
-        sys.exit(2)
+        _fail(f"no such file: {path}", 2)
     out = Path(out_dir)
     _make_dir(out)
     target = out / f"{source}.store"
     if target.is_dir():
-        click.echo(f"error: cannot write store file {target}: it is a directory", err=True)
-        sys.exit(2)
+        _fail(f"cannot write store file {target}: it is a directory", 2)
     try:
         store = load_ntriples_file(source, path)
     except (NTriplesParseError, UnicodeDecodeError) as exc:
-        click.echo(f"error: {path}: {exc}", err=True)
-        sys.exit(1)
+        _fail(f"{path}: {exc}", 1)
     save_store(store, target)
     click.echo(f"ingested {store.total_triples} triples from {path} into {target}")
 
@@ -84,11 +86,9 @@ def _load_stores(stores_dir: str) -> list[TripleStore]:
     try:
         stores = load_store_dir(stores_dir)
     except (OSError, ValueError) as exc:  # e.g. a directory named *.store, bad JSON
-        click.echo(f"error: cannot load stores from {stores_dir}: {exc}", err=True)
-        sys.exit(1)
+        _fail(f"cannot load stores from {stores_dir}: {exc}", 1)
     if not stores:
-        click.echo(f"error: no .store files under {stores_dir}", err=True)
-        sys.exit(1)
+        _fail(f"no .store files under {stores_dir}", 1)
     return stores
 
 
@@ -117,11 +117,8 @@ def _parse_engines(spec: str) -> list[str]:
     engines = [name.strip().lower() for name in spec.split(",") if name.strip()]
     for name in engines:
         if name not in ENGINE_NAMES:
-            click.echo(
-                f"error: unknown engine {name!r}; valid engines: {', '.join(ENGINE_NAMES)}",
-                err=True,
-            )
-            sys.exit(2)
+            valid = ", ".join(ENGINE_NAMES)
+            _fail(f"unknown engine {name!r}; valid engines: {valid}", 2)
     return engines
 
 
@@ -141,13 +138,11 @@ def evaluate(stores_dir, queries_dir, engines, out_path, oracle_cap, seed) -> No
     engine_names = _parse_engines(engines)
     # A bad cap is a usage error (exit 2) whatever the stores hold, so check it first.
     if oracle_cap is not None and oracle_cap < 1:
-        click.echo(f"error: --oracle-cap must be a positive integer, got {oracle_cap}", err=True)
-        sys.exit(2)
+        _fail(f"--oracle-cap must be a positive integer, got {oracle_cap}", 2)
     try:
         cap = oracle_cap if oracle_cap is not None else default_cap()
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+        _fail(str(exc), 2)
     # So is an output path through a file, also when the stores or queries are damaged.
     _make_dir(Path(out_path).parent)
     stores = _load_stores(stores_dir)
@@ -156,11 +151,9 @@ def evaluate(stores_dir, queries_dir, engines, out_path, oracle_cap, seed) -> No
         try:
             queries[path.stem] = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
-            click.echo(f"error: {path}: {exc}", err=True)
-            sys.exit(1)
+            _fail(f"{path}: {exc}", 1)
         except OSError as exc:  # e.g. a directory named *.rq
-            click.echo(f"error: {path}: {exc.strerror}", err=True)
-            sys.exit(1)
+            _fail(f"{path}: {exc.strerror}", 1)
     rows = evaluate_queries(queries, engine_names, stores, cap=cap)
     write_results_csv(rows, out_path)
     ok = sum(1 for r in rows if r.status == "ok")
@@ -224,23 +217,18 @@ def correlate(results_path, runtimes_path, features, method, common_only, out_pa
     feature_list = [f.strip() for f in features.split(",") if f.strip()]
     for feature in feature_list:
         if feature not in METRIC_FEATURES:
-            click.echo(
-                f"error: unknown feature {feature!r}; valid features: {', '.join(METRIC_FEATURES)}",
-                err=True,
-            )
-            sys.exit(2)
+            valid = ", ".join(METRIC_FEATURES)
+            _fail(f"unknown feature {feature!r}; valid features: {valid}", 2)
     if out_path:
         _make_dir(Path(out_path).parent)
     try:
         results = read_results_csv(results_path)
     except ValueError as exc:  # includes UnicodeDecodeError
-        click.echo(f"error: {results_path}: {exc}", err=True)
-        sys.exit(1)
+        _fail(f"{results_path}: {exc}", 1)
     try:
         runtimes = read_runtimes_csv(runtimes_path)
     except ValueError as exc:
-        click.echo(f"error: {runtimes_path}: {exc}", err=True)
-        sys.exit(1)
+        _fail(f"{runtimes_path}: {exc}", 1)
 
     engines_in_results = sorted({r["engine"] for r in results})
     engines_with_runtimes = {engine for (_, engine) in runtimes}
@@ -269,12 +257,8 @@ def correlate(results_path, runtimes_path, features, method, common_only, out_pa
         reports.append(report)
     if not any_rows:
         if any(report.rejected for report in reports):
-            click.echo("error: no engine could be correlated; see the warnings above", err=True)
-        else:
-            click.echo(
-                "error: insufficient data: fewer than 3 joined rows for every engine", err=True
-            )
-        sys.exit(1)
+            _fail("no engine could be correlated; see the warnings above", 1)
+        _fail("insufficient data: fewer than 3 joined rows for every engine", 1)
 
     click.echo(_render_report_table(reports))
     if out_path:

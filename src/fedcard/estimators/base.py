@@ -5,7 +5,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from ..expr import Expression, Join, Leaf
@@ -38,16 +37,11 @@ def void_leaf_card(tp: TriplePattern, src: SourceVoid) -> float:
     """Triple-pattern estimate within one source from its VoID counts.
 
     Reciprocal-of-distinct-count selectivities per bound slot, read from
-    the predicate's record when the predicate is bound and from the
-    source's otherwise; SPLENDID's case table, also CostFed's leaf formula.
+    the pattern's VoID record (``SourceVoid.stats``); SPLENDID's case
+    table, also CostFed's leaf formula.
     """
-    if isinstance(tp.predicate, Var):
-        stats = src
-    else:
-        stats = src.predicates.get(tp.predicate.lexical)
-        if stats is None:
-            return 0.0
-    if not stats.triples:
+    stats = src.stats(tp.bound_predicate())
+    if stats is None or not stats.triples:
         return 0.0
     bound_s = not isinstance(tp.subject, Var)
     bound_o = not isinstance(tp.object, Var)
@@ -105,19 +99,12 @@ class CardinalityEstimator:
     def __init__(self, summaries: SummarySet, stores: Sequence[TripleStore]):
         self.summaries = summaries
         self.stores = tuple(stores)
+        self._node_estimates: dict[Expression, tuple[float, bool]] = {}
+        self._selected_sources: dict[tuple[str, str, str], frozenset[str]] = {}
 
     @property
     def name(self) -> str:
         return self.engine.value
-
-    # Created on first use, so a subclass that skips ``__init__`` gets them too.
-    @cached_property
-    def _node_estimates(self) -> dict[Expression, tuple[float, bool]]:
-        return {}
-
-    @cached_property
-    def _selected_sources(self) -> dict[tuple[str, str, str], frozenset[str]]:
-        return {}
 
     def sources_for(self, tp: TriplePattern) -> frozenset[str]:
         """``select_sources`` memoised by the pattern's ``slot_key``, not its ordinal."""
@@ -131,20 +118,15 @@ class CardinalityEstimator:
     ) -> int:
         """Distinct values at a join position (s, p or o), summed over sources.
 
-        With a predicate, the counts of its triples in each source that has
-        it; without one, the source-level counts. Position p counts each
-        source's distinct predicates.
+        Each source's VoID record (``SourceVoid.stats``) gives its count: the
+        predicate's in each source that has it, the source's without one.
         """
         void = self.summaries.void
         count = 0
         for name in sources:
-            src = void.source(name)
-            if position == "p":
-                count += src.distinct_predicates
-                continue
-            stats = src if predicate is None else src.predicates.get(predicate)
+            stats = void.source(name).stats(predicate)
             if stats is not None:
-                count += stats.distinct_subjects if position == "s" else stats.distinct_objects
+                count += stats.distinct(position)
         return count
 
     def position_selectivity(self, tp: TriplePattern, position: str) -> float:

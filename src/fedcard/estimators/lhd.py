@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from ..expr import Join, patterns as expr_patterns
+from ..expr import Join
 from ..query import JoinEdge, JoinKind, TriplePattern, Var
 from ..summaries import SourceVoid
 from .base import CardinalityEstimator, Engine
@@ -25,10 +25,10 @@ def _triples_per_value(
     the position, summed over the sources (the predicate's triples if bound)."""
     terms = []
     for src in srcs:
-        stats = src if predicate is None else src.predicates.get(predicate)
+        stats = src.stats(predicate)
         if stats is None:
             continue
-        distinct = stats.distinct_subjects if position == "s" else stats.distinct_objects
+        distinct = stats.distinct(position)
         if distinct:
             terms.append(stats.triples / distinct)
     return math.fsum(terms)
@@ -59,7 +59,8 @@ class LhdEstimator(CardinalityEstimator):
             num *= _triples_per_value(srcs, predicate, "s")
             den *= d
         if predicate is not None:
-            n = sum(src.predicates[predicate].triples for src in srcs if predicate in src.predicates)
+            found = [src.stats(predicate) for src in srcs]
+            n = sum(stats.triples for stats in found if stats is not None)
             num *= n
             den *= total
         if not isinstance(tp.object, Var):
@@ -91,7 +92,7 @@ class LhdEstimator(CardinalityEstimator):
     def join_card(self, node: Join, left_card: float, right_card: float) -> float:
         # Recursive form of the flat multi-join product: edges internal to
         # either side are already folded into its cardinality.
-        by_ordinal = {tp.ordinal: tp for tp in expr_patterns(node)}
+        by_ordinal = {tp.ordinal: tp for tp in node.patterns}
         card = left_card * right_card
         for edge in node.edges:
             card *= self.edge_selectivity(edge, by_ordinal[edge.left], by_ordinal[edge.right])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from ..expr import Join, patterns as expr_patterns
+from ..expr import Join
 from ..query import Slot, TriplePattern, Var
 from .base import Engine
 from .semagrow import SemaGrowEstimator
@@ -41,7 +41,7 @@ class OdysseyEstimator(SemaGrowEstimator):
         if len(pred_set) == 1:
             (p,) = pred_set
             void = self.summaries.void
-            found = [void.source(name).predicates.get(p) for name in sources]
+            found = [void.source(name).stats(p) for name in sources]
             return float(sum(stats.triples for stats in found if stats is not None))
         terms = []
         for name in sources:
@@ -165,7 +165,7 @@ class OdysseyEstimator(SemaGrowEstimator):
     def _join_card_flagged(
         self, node: Join, left_card: float, right_card: float
     ) -> tuple[float, bool]:
-        covered = expr_patterns(node)
+        covered = node.patterns
         star = self._star_group(covered)
         if star is not None:
             return self.star_card(star[1], self._star_sources(covered)), False

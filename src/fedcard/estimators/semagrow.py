@@ -3,7 +3,8 @@
 Leaf cardinalities reuse the LHD formulas. The join selectivity of a leaf
 is the minimum of ``1/d_i`` over its join attributes (distinct-value
 counts of the joined positions); the join selectivity of a join is the
-minimum of its children's, and join cardinality is
+minimum of its children's, so the minimum over its leaves, and join
+cardinality is
 ``card(E1) * card(E2) * JoinSel(E1 JOIN E2)``.
 
 A leaf's join attributes are the positions joined by any edge inside the
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..expr import Expression, Join, Leaf, internal_edges
+from ..expr import Join, internal_edges
 from ..query import JoinEdge, TriplePattern
 from .base import CardinalityEstimator, Engine, join_positions
 from .lhd import LhdEstimator
@@ -35,18 +36,7 @@ class SemaGrowEstimator(CardinalityEstimator):
             candidates.append(self.position_selectivity(tp, position))
         return min(candidates)
 
-    def expression_join_selectivity(self, expr: Expression, edges: Sequence[JoinEdge]) -> float:
-        if isinstance(expr, Leaf):
-            return self.leaf_join_selectivity(expr.pattern, edges)
-        return min(
-            self.expression_join_selectivity(expr.left, edges),
-            self.expression_join_selectivity(expr.right, edges),
-        )
-
     def join_card(self, node: Join, left_card: float, right_card: float) -> float:
         scope = internal_edges(node)
-        sel = min(
-            self.expression_join_selectivity(node.left, scope),
-            self.expression_join_selectivity(node.right, scope),
-        )
+        sel = min(self.leaf_join_selectivity(tp, scope) for tp in node.patterns)
         return left_card * right_card * sel

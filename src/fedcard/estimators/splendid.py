@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from ..expr import Join, patterns as expr_patterns
+from ..expr import Join
 from ..query import TriplePattern
 from .base import CardinalityEstimator, Engine, void_leaf_card
 
@@ -26,17 +26,12 @@ class SplendidEstimator(CardinalityEstimator):
         """Mean over shared variables of the mean of both sides' selectivities."""
         if not node.edges:
             return 1.0
-        left_tps = {tp.ordinal: tp for tp in expr_patterns(node.left)}
-        right_tps = {tp.ordinal: tp for tp in expr_patterns(node.right)}
+        by_ordinal = {tp.ordinal: tp for tp in node.patterns}
         per_variable: dict[str, tuple[list[float], list[float]]] = {}
         for edge in node.edges:
             lsel, rsel = per_variable.setdefault(edge.variable, ([], []))
-            if edge.left in left_tps:
-                lsel.append(self.position_selectivity(left_tps[edge.left], edge.left_pos))
-                rsel.append(self.position_selectivity(right_tps[edge.right], edge.right_pos))
-            else:
-                lsel.append(self.position_selectivity(left_tps[edge.right], edge.right_pos))
-                rsel.append(self.position_selectivity(right_tps[edge.left], edge.left_pos))
+            lsel.append(self.position_selectivity(by_ordinal[edge.left], edge.left_pos))
+            rsel.append(self.position_selectivity(by_ordinal[edge.right], edge.right_pos))
         sels = []
         for lsel, rsel in per_variable.values():
             left_mean = sum(lsel) / len(lsel)

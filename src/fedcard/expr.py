@@ -1,8 +1,8 @@
 """Join expression trees over triple patterns.
 
 An expression is either a leaf (one pattern) or a join of two
-sub-expressions annotated with the join edges that connect them.
-A join with zero edges is a cartesian product.
+sub-expressions. A join derives the edges that connect its sides when it
+is built; a join with zero edges is a cartesian product.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from .query import JoinEdge, TriplePattern, cached_hash, edges_between, rebuild
 
 
 # A node caches its hash and what the per-row layers read of it (its leaves,
-# patterns, ordinals and variables) at construction, as the query objects do
-# (see ``query.cached_hash``). A join builds its facts from its children's.
+# patterns, ordinals and variables, and a join's edges) at construction, as
+# the query objects do (see ``query.cached_hash``). A join builds its facts
+# from its children's.
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,9 +41,13 @@ class Leaf:
 
 @dataclass(frozen=True, slots=True)
 class Join:
+    """``left JOIN right``; ``edges`` joins each left pattern to each right
+    pattern it shares a variable with, so ``edge.left`` is the ordinal of a
+    pattern in ``left`` and ``edge.right`` of one in ``right``."""
+
     left: "Expression"
     right: "Expression"
-    edges: tuple[JoinEdge, ...] = field(default_factory=tuple)
+    edges: tuple[JoinEdge, ...] = field(init=False, compare=False)
     _hash: int = field(init=False, compare=False, repr=False)
     leaves: tuple[Leaf, ...] = field(init=False, compare=False, repr=False)
     patterns: tuple[TriplePattern, ...] = field(init=False, compare=False, repr=False)
@@ -52,7 +57,12 @@ class Join:
     def __post_init__(self) -> None:
         left, right = self.left, self.right
         setattr_ = object.__setattr__
-        setattr_(self, "_hash", hash((left, right, self.edges)))
+        edges: list[JoinEdge] = []
+        for ltp in left.patterns:
+            for rtp in right.patterns:
+                edges.extend(edges_between(ltp, rtp))
+        setattr_(self, "edges", tuple(edges))
+        setattr_(self, "_hash", hash((left, right)))
         setattr_(self, "leaves", (*leaves(left), *leaves(right)))
         setattr_(self, "patterns", left.patterns + right.patterns)
         setattr_(self, "ordinals", left.ordinals | right.ordinals)
@@ -72,11 +82,6 @@ def leaves(expr: Expression) -> list[Leaf]:
     return list(expr.leaves)
 
 
-def patterns(expr: Expression) -> tuple[TriplePattern, ...]:
-    """Patterns of the leaves in left-to-right order."""
-    return expr.patterns
-
-
 def ordinals(expr: Expression) -> frozenset[int]:
     return expr.ordinals
 
@@ -86,24 +91,6 @@ def join_nodes(expr: Expression) -> list[Join]:
     if isinstance(expr, Leaf):
         return []
     return join_nodes(expr.left) + join_nodes(expr.right) + [expr]
-
-
-def variables(expr: Expression) -> frozenset[str]:
-    return expr.variables
-
-
-def cross_edges(left: Expression, right: Expression) -> tuple[JoinEdge, ...]:
-    """All join edges between the leaves of two disjoint sub-expressions."""
-    out = []
-    for ltp in patterns(left):
-        for rtp in patterns(right):
-            out.extend(edges_between(ltp, rtp))
-    return tuple(out)
-
-
-def join(left: Expression, right: Expression) -> Join:
-    """Join two sub-expressions, deriving their connecting edges."""
-    return Join(left, right, cross_edges(left, right))
 
 
 def internal_edges(expr: Expression) -> list[JoinEdge]:

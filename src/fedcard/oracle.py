@@ -29,7 +29,7 @@ from operator import itemgetter, mul
 from typing import Callable, Iterator, Optional, Sequence
 
 from .estimators.base import CardinalityEstimator, PlanEstimates
-from .expr import Expression, Leaf, join_nodes, leaves, ordinals, variables
+from .expr import Expression, Leaf, join_nodes, leaves, ordinals
 from .query import TriplePattern, Var
 from .store import TripleStore, match
 
@@ -148,7 +148,7 @@ class Oracle:
             else:
                 result = {(): total} if total else {}
         else:
-            lvars, rvars = variables(expr.left), variables(expr.right)
+            lvars, rvars = expr.left.variables, expr.right.variables
             lnames = sorted(lvars & (keep | rvars))
             rnames = sorted(rvars & (keep | lvars))
             left = self.bindings(expr.left, frozenset(lnames))

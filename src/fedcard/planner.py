@@ -14,7 +14,7 @@ import enum
 from typing import Callable
 
 from .estimators.base import CardinalityEstimator
-from .expr import Expression, Leaf, is_left_deep, join, join_nodes, leaves
+from .expr import Expression, Join, Leaf, is_left_deep, join_nodes, leaves
 from .oracle import OracleBlowupError
 from .query import BasicGraphPattern
 
@@ -59,7 +59,7 @@ def greedy_left_deep_plan(bgp: BasicGraphPattern, card: CardFn) -> Expression:
     remaining.remove(plan)
 
     while remaining:
-        extensions = [join(plan, leaf) for leaf in _executable(plan, remaining)]
+        extensions = [Join(plan, leaf) for leaf in _executable(plan, remaining)]
         plan = min(extensions, key=lambda node: (card(node), node.right.pattern.ordinal))
         remaining.remove(plan.right)
     return plan
@@ -88,9 +88,9 @@ def classify_plan(plan: Expression, real_card: CardFn) -> PlanClass:
             candidates = _executable(left, remaining)
             if chosen not in candidates:
                 return PlanClass.SUB_OPTIMAL
-            step = join(left, chosen)
+            step = Join(left, chosen)
             chosen_real = real_card(step)
-            others = [real_card(join(left, leaf)) for leaf in candidates if leaf != chosen]
+            others = [real_card(Join(left, leaf)) for leaf in candidates if leaf != chosen]
             if chosen_real > min(others, default=chosen_real):
                 return PlanClass.SUB_OPTIMAL
             left = step

@@ -150,9 +150,11 @@ class JoinKind(enum.Enum):
 class JoinEdge:
     """A shared variable between two patterns.
 
-    ``left``/``right`` are pattern ordinals with left < right;
-    ``left_pos``/``right_pos`` record one canonical position the variable
-    occupies on each side (s/p/o), used by position-sensitive estimators.
+    ``left``/``right`` are the ordinals of the two patterns in the order
+    ``edges_between`` was given them: in a ``Join``'s edges, the pattern on
+    its left side and the one on its right. ``left_pos``/``right_pos``
+    record one canonical position the variable occupies in each (s/p/o),
+    used by position-sensitive estimators; they do not depend on the order.
     """
 
     left: int
@@ -369,8 +371,6 @@ def _edge_for_pair(left: TriplePattern, right: TriplePattern, variable: str) -> 
 
 
 def edges_between(left: TriplePattern, right: TriplePattern) -> list[JoinEdge]:
-    """Join edges between one unordered pattern pair, one per shared variable."""
-    first, second = (left, right) if left.ordinal < right.ordinal else (right, left)
-    shared = sorted(first.var_names & second.var_names)
-    return [_edge_for_pair(first, second, v) for v in shared]
+    """Join edges from ``left`` to ``right``, one per shared variable in name order."""
+    return [_edge_for_pair(left, right, v) for v in sorted(left.var_names & right.var_names)]
 

@@ -54,6 +54,11 @@ class PredicateStats:
     def avg_object_selectivity(self) -> float:
         return 1.0 / self.distinct_objects
 
+    def distinct(self, position: str) -> int:
+        """Distinct values at position s or o; only a pattern with an
+        unbound predicate can be joined at position p."""
+        return self.distinct_subjects if position == "s" else self.distinct_objects
+
 
 @dataclass(slots=True)
 class SourceVoid:
@@ -66,6 +71,20 @@ class SourceVoid:
     @property
     def distinct_predicates(self) -> int:
         return len(self.predicates)
+
+    def distinct(self, position: str) -> int:
+        """Distinct values at position s, p or o."""
+        if position == "p":
+            return self.distinct_predicates
+        return self.distinct_subjects if position == "s" else self.distinct_objects
+
+    def stats(self, predicate: str | None) -> PredicateStats | SourceVoid | None:
+        """The record that counts a pattern's triples here: its predicate's
+        when the predicate is bound, the source itself when it is not, and
+        None when the source lacks the predicate."""
+        if predicate is None:
+            return self
+        return self.predicates.get(predicate)
 
 
 class VoidSummary:

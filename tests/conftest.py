@@ -1,17 +1,31 @@
+from pathlib import Path
+
 import pytest
 
+from fedcard.estimators import ENGINE_NAMES, make_estimator
 from fedcard.fixtures import (
+    bench_queries,
+    bench_stores,
     fig_example_store,
     toy1_store,
     toy2_triples,
     toy_stores,
 )
 from fedcard.ntriples import iri
-from fedcard.query import TriplePattern, Var
+from fedcard.oracle import Oracle
+from fedcard.planner import classify_plan, greedy_left_deep_plan
+from fedcard.query import TriplePattern, Var, parse_query
 from fedcard.store import build_store
 from fedcard.summaries import build_all
 
 TOY = "http://example.org/toy/"
+EDGE_QUERIES = Path(__file__).parent / "golden" / "edge_queries"
+
+
+def edge_queries() -> dict[str, str]:
+    """The edge-kind queries over the bench vocabulary, keyed by file stem."""
+    paths = sorted(EDGE_QUERIES.glob("*.rq"))
+    return {path.stem: path.read_text(encoding="utf-8") for path in paths}
 
 
 def toy_iri(name: str):
@@ -66,3 +80,29 @@ def fig_store():
 @pytest.fixture(scope="session")
 def fig_summaries(fig_store):
     return build_all([fig_store])
+
+
+@pytest.fixture(scope="session")
+def bench_nodes():
+    """Every node that the planner and ``classify_plan`` ask about, over the
+    bench queries and the edge-kind queries, on the bench stores."""
+    stores = bench_stores()
+    summaries = build_all(stores)
+    nodes = []
+
+    def recording(card):
+        def wrapped(expr):
+            nodes.append(expr)
+            return card(expr)
+
+        return wrapped
+
+    for text in [*bench_queries().values(), *edge_queries().values()]:
+        bgp = parse_query(text)
+        oracle = Oracle(stores)
+        for engine in ENGINE_NAMES:
+            estimator = make_estimator(engine, summaries, stores)
+            plan = greedy_left_deep_plan(bgp, recording(estimator.expression_card))
+            nodes.append(plan)
+            classify_plan(plan, recording(oracle.cardinality))
+    return nodes

@@ -3,7 +3,9 @@
 ``evaluate_expression`` expands the oracle's multiplicity map into a bag of
 binding dicts; ``decode_keys`` decodes the term-id keys of such a map;
 ``lhd_multi_join_card`` is LHD's flat multi-join formula, the reference for
-its recursive ``join_card``; ``charset_star_card`` is Odyssey's star formula
+its recursive ``join_card``; ``semagrow_join_card`` is SemaGrow's
+min-chain over the join tree, the reference for its ``join_card``;
+``charset_star_card`` is Odyssey's star formula
 over every characteristic set, the reference for ``star_card``; ``join_edges`` lists every join edge of a BGP;
 ``match_triples`` decodes the id rows of ``store.match``;
 ``scanner_ntriples`` is the N-Triples reader that reads every line term by
@@ -21,7 +23,7 @@ import statistics
 from operator import mul
 from typing import Mapping, Optional, Sequence
 
-from fedcard.expr import Expression, variables
+from fedcard.expr import Expression, Join, Leaf, internal_edges
 from fedcard.ntriples import NTriplesParseError, Term, TermKind, Triple, _LineScanner
 from fedcard.oracle import Oracle
 from fedcard.query import BasicGraphPattern, JoinEdge, TriplePattern, edges_between
@@ -42,7 +44,7 @@ def evaluate_expression(
     The expansion of the oracle's unprojected multiplicity map; leaves are
     told apart by pattern ordinal, as in ``Oracle``.
     """
-    names = sorted(variables(expr))
+    names = sorted(expr.variables)
     counts = decode_keys(Oracle(stores, cap).bindings(expr, frozenset(names)))
     return [dict(zip(names, row)) for row, n in counts.items() for _ in range(n)]
 
@@ -66,6 +68,26 @@ def lhd_multi_join_card(
     for edge in edges:
         card *= lhd.edge_selectivity(edge, by_ordinal[edge.left], by_ordinal[edge.right])
     return card
+
+
+def semagrow_join_selectivity(semagrow, expr: Expression, edges: Sequence[JoinEdge]) -> float:
+    """SemaGrow's JoinSel: a leaf's own, or the minimum of a join's two children's."""
+    if isinstance(expr, Leaf):
+        return semagrow.leaf_join_selectivity(expr.pattern, edges)
+    return min(
+        semagrow_join_selectivity(semagrow, expr.left, edges),
+        semagrow_join_selectivity(semagrow, expr.right, edges),
+    )
+
+
+def semagrow_join_card(semagrow, node: Join, left_card: float, right_card: float) -> float:
+    """SemaGrow's join estimate, with JoinSel recursed through both children."""
+    scope = internal_edges(node)
+    sel = min(
+        semagrow_join_selectivity(semagrow, node.left, scope),
+        semagrow_join_selectivity(semagrow, node.right, scope),
+    )
+    return left_card * right_card * sel
 
 
 def charset_star_card(charsets, predicates, sources) -> float:

@@ -14,7 +14,7 @@ from helpers import evaluate_expression, match_triples
 
 from fedcard.cli import main as cli_main
 from fedcard.estimators import make_estimator, select_sources
-from fedcard.expr import Leaf, join, patterns as expr_patterns
+from fedcard.expr import Join, Leaf
 from fedcard.fixtures import fig_example_query, fig_example_store
 from fedcard.metrics import bundle, clamp_positive, q_error, similarity_error
 from fedcard.ntriples import Triple, iri
@@ -69,7 +69,7 @@ def _injected_card(leaf_estimates):
         if isinstance(expr, Leaf):
             return float(leaf_estimates[expr.pattern.ordinal])
         value = 1.0
-        for pattern in expr_patterns(expr):
+        for pattern in expr.patterns:
             value *= leaf_estimates[pattern.ordinal]
         return value
 
@@ -126,7 +126,7 @@ def _random_bgp(rng: random.Random):
 
 def _nested_loop_count(expr, stores) -> int:
     rows = [dict()]
-    for pattern in expr_patterns(expr):
+    for pattern in expr.patterns:
         leaf_rows = []
         for store in stores:
             for t in match_triples(store, pattern):
@@ -177,7 +177,7 @@ def test_criterion_4_oracle_equivalence_suite(random_suite):
         # (c) hash-join oracle equals nested-loop oracle
         plan = Leaf(bgp.patterns[0])
         for pattern in bgp.patterns[1:]:
-            plan = join(plan, Leaf(pattern))
+            plan = Join(plan, Leaf(pattern))
         assert len(evaluate_expression(plan, stores)) == _nested_loop_count(plan, stores)
     report(4, "200-case suite: source selection, per-engine exactness, join oracles agree")
 

@@ -5,7 +5,12 @@ import random
 import pytest
 
 from conftest import TOY, tp
-from helpers import charset_star_card, lhd_multi_join_card
+from helpers import (
+    charset_star_card,
+    lhd_multi_join_card,
+    semagrow_join_card,
+    semagrow_join_selectivity,
+)
 
 from fedcard.estimators import (
     CardinalityEstimator,
@@ -13,8 +18,10 @@ from fedcard.estimators import (
     make_estimator,
     select_sources,
 )
-from fedcard.expr import Join, Leaf, join, ordinals
+from fedcard.expr import Join, Leaf, ordinals
 from fedcard.fixtures import bench_stores
+from fedcard.planner import greedy_left_deep_plan
+from fedcard.query import parse_query
 from fedcard.summaries import (
     CharSetStats,
     CharSetSummary,
@@ -73,7 +80,7 @@ def test_costfed_tp_empty_sources(engines):
 def test_costfed_join_subject_star(engines):
     cf = engines["costfed"]
     e0, e1 = Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1))
-    node = join(e0, e1)
+    node = Join(e0, e1)
     c0, c1 = cf.tp_card(e0.pattern), cf.tp_card(e1.pattern)
     # M1 = 3/2, M2 = 2/2, min(3, 2) = 2
     assert cf.join_card(node, c0, c1) == pytest.approx(3.0)
@@ -82,7 +89,7 @@ def test_costfed_join_subject_star(engines):
 def test_costfed_m_factor_bound_object(engines):
     cf = engines["costfed"]
     leaf = Leaf(tp("?x", "p", "o1", 0))
-    node = join(leaf, Leaf(tp("?x", "q", "?z", 1)))
+    node = Join(leaf, Leaf(tp("?x", "q", "?z", 1)))
     card = cf.tp_card(leaf.pattern)
     assert cf.multivalued_factor(leaf, card, node.edges) == pytest.approx(1 / math.sqrt(2))
 
@@ -97,7 +104,7 @@ def test_costfed_m_other_case_is_identity(engines):
 def test_costfed_join_never_exceeds_m_bound(engines):
     cf = engines["costfed"]
     e0, e1 = Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1))
-    node = join(e0, e1)
+    node = Join(e0, e1)
     c0, c1 = cf.tp_card(e0.pattern), cf.tp_card(e1.pattern)
     m0 = cf.multivalued_factor(e0, c0, node.edges)
     m1 = cf.multivalued_factor(e1, c1, node.edges)
@@ -122,7 +129,7 @@ def test_splendid_tp_cases(engines):
 def test_splendid_join(engines):
     sp = engines["splendid"]
     e0, e1 = Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1))
-    node = join(e0, e1)
+    node = Join(e0, e1)
     # sel = mean(1/2, 1/2) = 0.5 -> 3 * 2 * 0.5
     assert sp.join_card(node, 3.0, 2.0) == pytest.approx(3.0)
 
@@ -138,7 +145,7 @@ def test_splendid_single_distinct_value_side(engines):
     # object-object join; q has a single distinct object, so its side's
     # positional selectivity is 1 and sel = mean(1, 1/2).
     e0, e1 = Leaf(tp("?a", "p", "?b", 0)), Leaf(tp("?c", "q", "?b", 1))
-    node = join(e0, e1)
+    node = Join(e0, e1)
     assert sp.join_card(node, 3.0, 2.0) == pytest.approx(3.0 * 2.0 * 0.75)
 
 
@@ -155,7 +162,7 @@ def test_lhd_tp_cases(engines):
 def test_lhd_join_subject_subject(engines):
     lhd = engines["lhd"]
     e0, e1 = Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1))
-    node = join(e0, e1)
+    node = Join(e0, e1)
     # sel = (2*2)/(3*3); card = 3 * 2 * 4/9
     assert lhd.join_card(node, 3.0, 2.0) == pytest.approx(8 / 3)
 
@@ -163,7 +170,7 @@ def test_lhd_join_subject_subject(engines):
 def test_lhd_join_subject_object(engines):
     lhd = engines["lhd"]
     t0, t1 = tp("?a", "p", "?b", 0), tp("?c", "q", "?a", 1)
-    node = join(Leaf(t0), Leaf(t1))
+    node = Join(Leaf(t0), Leaf(t1))
     (edge,) = node.edges
     assert lhd.edge_selectivity(edge, t0, t1) == pytest.approx(2 / 9)
 
@@ -177,7 +184,7 @@ def test_lhd_join_no_shared_variables(engines):
 def test_lhd_multi_join_flat_form(engines):
     lhd = engines["lhd"]
     tps = [tp("?x", "p", "?y", 0), tp("?x", "q", "?z", 1)]
-    node = join(Leaf(tps[0]), Leaf(tps[1]))
+    node = Join(Leaf(tps[0]), Leaf(tps[1]))
     flat = lhd_multi_join_card(lhd, tps, [3.0, 2.0], node.edges)
     recursive = lhd.join_card(node, 3.0, 2.0)
     assert flat == pytest.approx(recursive)
@@ -195,7 +202,7 @@ def test_semagrow_leaf_delegates_to_lhd(engines):
 def test_semagrow_join(engines):
     sg = engines["semagrow"]
     e0, e1 = Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1))
-    node = join(e0, e1)
+    node = Join(e0, e1)
     assert sg.join_card(node, 3.0, 2.0) == pytest.approx(3.0)
 
 
@@ -203,7 +210,7 @@ def test_semagrow_single_distinct_value_leaf(engines):
     sg = engines["semagrow"]
     # q's only join attribute (object) has one distinct value -> JoinSel 1.
     t1 = tp("?c", "q", "?b", 1)
-    node = join(Leaf(tp("?a", "p", "?b", 0)), Leaf(t1))
+    node = Join(Leaf(tp("?a", "p", "?b", 0)), Leaf(t1))
     assert sg.leaf_join_selectivity(t1, node.edges) == 1.0
 
 
@@ -216,12 +223,22 @@ def test_semagrow_no_join_attributes_gives_unity(engines):
 def test_semagrow_joinsel_monotone_under_nesting(engines):
     sg = engines["semagrow"]
     t0, t1, t2 = tp("?x", "p", "?y", 0), tp("?x", "q", "?z", 1), tp("?y", "q", "?w", 2)
-    inner = join(Leaf(t0), Leaf(t1))
-    outer = join(inner, Leaf(t2))
-    sel_inner = sg.expression_join_selectivity(inner, inner.edges)
+    inner = Join(Leaf(t0), Leaf(t1))
+    outer = Join(inner, Leaf(t2))
+    sel_inner = semagrow_join_selectivity(sg, inner, inner.edges)
     scope = tuple(inner.edges) + tuple(outer.edges)
-    sel_outer = sg.expression_join_selectivity(outer, scope)
+    sel_outer = semagrow_join_selectivity(sg, outer, scope)
     assert sel_outer <= sel_inner + 1e-12
+
+
+def test_semagrow_join_card_equals_the_min_chain(bench_nodes):
+    stores = bench_stores()
+    sg = make_estimator("semagrow", build_all(stores), stores)
+    joins = [node for node in bench_nodes if isinstance(node, Join)]
+    assert any(isinstance(node.left, Join) for node in joins)
+    for node in joins:
+        left, right = sg.expression_card(node.left), sg.expression_card(node.right)
+        assert sg.join_card(node, left, right) == semagrow_join_card(sg, node, left, right)
 
 
 # ------------------------------------------------------------ Odyssey
@@ -272,7 +289,7 @@ def test_odyssey_link_predicate_must_be_in_star(engines):
 
 def test_odyssey_plan_on_star_uses_charsets(toy1, toy1_summaries):
     od = make_estimator("odyssey", toy1_summaries, [toy1])
-    plan = join(Leaf(tp("?s", "p", "?a", 0)), Leaf(tp("?s", "q", "?b", 1)))
+    plan = Join(Leaf(tp("?s", "p", "?a", 0)), Leaf(tp("?s", "q", "?b", 1)))
     est = od.evaluate_plan(plan)
     assert est.tp_est == {0: 3.0, 1: 2.0}
     assert est.join_est == [1.0]
@@ -281,7 +298,7 @@ def test_odyssey_plan_on_star_uses_charsets(toy1, toy1_summaries):
 
 def test_odyssey_path_uses_charpairs(toy2, toy2_summaries):
     od = make_estimator("odyssey", toy2_summaries, [toy2])
-    plan = join(Leaf(tp("?x", "q", "?y", 0)), Leaf(tp("?y", "p", "?z", 1)))
+    plan = Join(Leaf(tp("?x", "q", "?y", 0)), Leaf(tp("?y", "p", "?z", 1)))
     est = od.evaluate_plan(plan)
     assert est.join_est == [pytest.approx(3.0)]
     assert not est.fallback_used
@@ -290,7 +307,7 @@ def test_odyssey_path_uses_charpairs(toy2, toy2_summaries):
 def test_odyssey_fallback_flagged(toy1, toy1_summaries):
     od = make_estimator("odyssey", toy1_summaries, [toy1])
     # object-object join is neither a star nor a linked star
-    plan = join(Leaf(tp("?a", "p", "?x", 0)), Leaf(tp("?b", "q", "?x", 1)))
+    plan = Join(Leaf(tp("?a", "p", "?x", 0)), Leaf(tp("?b", "q", "?x", 1)))
     est = od.evaluate_plan(plan)
     assert est.fallback_used
     sg = make_estimator("semagrow", toy1_summaries, [toy1])
@@ -309,6 +326,21 @@ def test_odyssey_ground_subject_leaf_falls_back(toy1, toy1_summaries):
 # ------------------------------------------------------------ plan estimation
 
 
+def test_a_hand_built_join_has_the_planner_nodes_edges_and_estimates(toy_ab, toy_ab_summaries):
+    """``Join(l, r)`` derives its own edges, so no engine takes it for a cartesian product."""
+    bgp = parse_query(f"SELECT * WHERE {{ ?x <{P}> ?y . ?x <{Q}> ?z }}")
+    l, r = (Leaf(pattern) for pattern in bgp.patterns)
+    expected = {"costfed": 4.5, "splendid": 3.75, "lhd": 4.5, "semagrow": 3.0, "odyssey": 1.0}
+    for engine, value in expected.items():
+        planner = make_estimator(engine, toy_ab_summaries, toy_ab)
+        plan = greedy_left_deep_plan(bgp, planner.expression_card)
+        assert Join(Leaf(plan.left.pattern), Leaf(plan.right.pattern)).edges == plan.edges != ()
+        # A fresh estimator, so the hand-built node's estimate is not the planner's memo.
+        hand = make_estimator(engine, toy_ab_summaries, toy_ab).expression_card(Join(l, r))
+        assert hand == planner.expression_card(plan)
+        assert hand == pytest.approx(value)
+
+
 class StubEstimator(CardinalityEstimator):
     """Injectable per-node estimates, keyed by covered ordinals."""
 
@@ -316,6 +348,7 @@ class StubEstimator(CardinalityEstimator):
     name = "stub"
 
     def __init__(self, leaf_cards, join_cards):
+        super().__init__(None, ())
         self.leaf_cards = leaf_cards
         self.join_cards = join_cards
 
@@ -328,7 +361,7 @@ class StubEstimator(CardinalityEstimator):
 
 def test_estimate_plan_with_injected_stub():
     tps = [tp("?s", "p1", "?o1", 0), tp("?s", "p2", "?o2", 1), tp("?s", "p3", "?o3", 2)]
-    plan = join(join(Leaf(tps[0]), Leaf(tps[1])), Leaf(tps[2]))
+    plan = Join(Join(Leaf(tps[0]), Leaf(tps[1])), Leaf(tps[2]))
     stub = StubEstimator(
         {0: 90, 1: 250, 2: 300},
         {frozenset({0, 1}): 65, frozenset({0, 1, 2}): 150},
@@ -345,7 +378,7 @@ def test_estimate_plan_single_leaf(engines):
 
 
 def test_semagrow_two_leaf_plan(engines):
-    plan = join(Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1)))
+    plan = Join(Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1)))
     est = engines["semagrow"].evaluate_plan(plan)
     assert [est.tp_est[0], est.tp_est[1], est.join_est[0]] == [3.0, 2.0, 3.0]
 
@@ -368,7 +401,7 @@ def test_estimates_finite_and_nonnegative_random(toy_ab, toy_ab_summaries):
         ]
         plan = Leaf(tps[0])
         for t in tps[1:]:
-            plan = join(plan, Leaf(t))
+            plan = Join(plan, Leaf(t))
         for estimator in estimators:
             est = estimator.evaluate_plan(plan)
             for value in list(est.tp_est.values()) + est.join_est:

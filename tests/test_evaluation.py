@@ -14,7 +14,7 @@ from fedcard.evaluation import (
     evaluate_query,
     rows_to_csv,
 )
-from fedcard.expr import Leaf, join_nodes, patterns
+from fedcard.expr import Leaf, join_nodes
 from fedcard.fixtures import bench_queries, bench_stores
 from fedcard.oracle import Oracle, true_tp_card
 from fedcard.planner import PlanClass
@@ -121,7 +121,7 @@ def test_rows_keep_plan_and_trace_counted_by_the_query_oracle():
         assert [row.status for row in query_rows] == [STATUS_OK] * len(ENGINE_NAMES)
         oracle = Oracle(stores)
         for row in query_rows:
-            tps = sorted(patterns(row.plan), key=lambda tp: tp.ordinal)
+            tps = sorted(row.plan.patterns, key=lambda tp: tp.ordinal)
             assert row.trace.tp_real == tuple(float(true_tp_card(tp, stores)) for tp in tps)
             nodes = join_nodes(row.plan)
             assert row.trace.join_real == tuple(float(oracle.cardinality(n)) for n in nodes)

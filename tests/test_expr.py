@@ -1,8 +1,9 @@
 """Facts that query patterns and plan nodes cache at construction.
 
 Each cached fact is checked against its recursive definition, on every
-node that planning and classification build over the bench queries, and
-each cached hash against the hash the dataclass itself would compute.
+node that planning and classification build over the bench and edge-kind
+queries (the ``bench_nodes`` fixture), and each cached hash against the
+hash the dataclass itself would compute.
 """
 
 import copy
@@ -15,14 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from fedcard.estimators import ENGINE_NAMES, make_estimator
-from fedcard.expr import Join, Leaf, join, leaves, ordinals, patterns, variables
-from fedcard.fixtures import bench_queries, bench_stores
+from fedcard.expr import Join, Leaf, leaves, ordinals
 from fedcard.ntriples import Term, format_term
-from fedcard.oracle import Oracle
-from fedcard.planner import classify_plan, greedy_left_deep_plan
 from fedcard.query import JoinEdge, TriplePattern, Var, parse_query
-from fedcard.summaries import build_all
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -65,48 +61,39 @@ def plain(value):
     return value
 
 
-@pytest.fixture(scope="module")
-def bench_nodes():
-    """Every node that the planner and ``classify_plan`` ask about, over the bench queries."""
-    stores = bench_stores()
-    summaries = build_all(stores)
-    nodes = []
-
-    def recording(card):
-        def wrapped(expr):
-            nodes.append(expr)
-            return card(expr)
-
-        return wrapped
-
-    for text in bench_queries().values():
-        bgp = parse_query(text)
-        oracle = Oracle(stores)
-        for engine in ENGINE_NAMES:
-            estimator = make_estimator(engine, summaries, stores)
-            plan = greedy_left_deep_plan(bgp, recording(estimator.expression_card))
-            nodes.append(plan)
-            classify_plan(plan, recording(oracle.cardinality))
-    return nodes
-
-
 def test_cached_facts_equal_their_recursive_definitions(bench_nodes):
     joins = sum(isinstance(node, Join) for node in bench_nodes)
     assert joins and len(bench_nodes) > joins
     for node in bench_nodes:
         assert leaves(node) == reference_leaves(node)
-        assert list(patterns(node)) == reference_patterns(node)
+        assert list(node.patterns) == reference_patterns(node)
         assert ordinals(node) == frozenset(tp.ordinal for tp in reference_patterns(node))
-        assert variables(node) == reference_variables(node)
+        assert node.variables == reference_variables(node)
         for tp in reference_patterns(node):
             assert tp.slot_key == reference_slot_key(tp)
             assert tp.var_names == tp.variables() == reference_variables(Leaf(tp))
 
 
+def test_every_edge_runs_from_a_left_pattern_to_a_right_pattern(bench_nodes):
+    joins = [node for node in bench_nodes if isinstance(node, Join)]
+    for node in joins:
+        for edge in node.edges:
+            assert edge.left in node.left.ordinals and edge.right in node.right.ordinals
+        shared = [
+            (ltp.ordinal, rtp.ordinal, name)
+            for ltp in reference_patterns(node.left)
+            for rtp in reference_patterns(node.right)
+            for name in sorted(reference_variables(Leaf(ltp)) & reference_variables(Leaf(rtp)))
+        ]
+        assert [(edge.left, edge.right, edge.variable) for edge in node.edges] == shared
+    # Some left side holds the higher ordinal, so the orientation is by side, not by ordinal.
+    assert any(edge.left > edge.right for node in joins for edge in node.edges)
+
+
 def test_cached_hashes_equal_the_dataclass_hashes(bench_nodes):
     for node in bench_nodes:
         assert hash(node) == hash(plain(node))
-        for tp in patterns(node):
+        for tp in node.patterns:
             assert hash(tp) == hash(plain(tp))
             for slot in (tp.subject, tp.predicate, tp.object):
                 assert hash(slot) == hash(plain(slot))
@@ -125,16 +112,20 @@ def test_caches_stay_out_of_equality_repr_and_replace():
     assert moved.var_names == {"x"} and moved.slot_key == ("?x", "<http://e/p>", "?x")
     assert hash(moved) == hash(plain(moved)) and moved != p
     assert dataclasses.replace(moved, object=y, ordinal=0) == p
-    node = join(Leaf(p), Leaf(moved))
+    node = Join(Leaf(p), Leaf(moved))
     assert repr(node) == f"Join(left={Leaf(p)!r}, right={Leaf(moved)!r}, edges={node.edges!r})"
-    assert dataclasses.replace(node, edges=()).variables == {"x", "y"}
+    with pytest.raises(ValueError):
+        dataclasses.replace(node, edges=())
+    swapped = dataclasses.replace(node, left=Leaf(moved), right=Leaf(p))
+    assert swapped.variables == {"x", "y"}
+    assert [(e.left, e.right) for e in swapped.edges] == [(1, 0)]
     with pytest.raises(ValueError):
         dataclasses.replace(x, _hash=0)
 
 
 def test_copies_are_equal_and_hash_alike():
     bgp = parse_query("SELECT * WHERE { ?x <http://e/p> ?y . ?y <http://e/q> \"v\" }")
-    plan = join(Leaf(bgp.patterns[0]), Leaf(bgp.patterns[1]))
+    plan = Join(Leaf(bgp.patterns[0]), Leaf(bgp.patterns[1]))
     for value in (bgp, plan, plan.edges[0], Var("x")):
         for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
             assert twin == value and hash(twin) == hash(value)
@@ -142,14 +133,14 @@ def test_copies_are_equal_and_hash_alike():
 
 
 _BUILD = """
-from fedcard.expr import Leaf, join
+from fedcard.expr import Join, Leaf
 from fedcard.query import parse_query
 
 bgp = parse_query(
     'SELECT * WHERE { ?x <http://e/p> ?y . ?y <http://e/q> ?z . ?z <http://e/r> "v"@en }'
 )
 leaf0, leaf1, leaf2 = (Leaf(tp) for tp in bgp.patterns)
-plan = join(join(leaf0, leaf1), leaf2)
+plan = Join(Join(leaf0, leaf1), leaf2)
 objects = [bgp, plan, plan.left, leaf2, plan.edges[0], *bgp.patterns, bgp.patterns[0].subject]
 """
 

@@ -7,7 +7,11 @@ reads summary files back, so these pins are what holds their format.
 queries (``bench/gen.py``: ``runtimes_csv(bench_queries(20240, 50), 20240)``).
 ``toy_cap3_results.csv`` is ``fedcard evaluate`` of the toy queries over toy
 store A with ``--oracle-cap 3``: ``toy_object_join`` blows up, and the three
-matches of ``toy_single``'s one pattern just fit.
+matches of ``toy_single``'s one pattern just fit. ``edge_results.csv`` is
+``fedcard evaluate`` of ``edge_queries/*.rq`` over the bench stores: the bench
+queries join only subject-subject and subject-object, and these queries
+between them plan every join kind, a cycle, a cartesian step and a join whose
+left side holds the higher ordinal.
 """
 
 import os
@@ -18,10 +22,14 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from conftest import edge_queries
+
 import fedcard
+import fedcard.oracle
 from fedcard.cli import main
 from fedcard.estimators import ENGINE_NAMES
 from fedcard.evaluation import evaluate_queries, rows_to_csv
+from fedcard.expr import join_nodes
 from fedcard.fixtures import (
     bench_queries,
     bench_stores,
@@ -30,6 +38,7 @@ from fedcard.fixtures import (
     toy_queries,
     write_ntriples,
 )
+from fedcard.query import JoinKind
 from fedcard.store import load_ntriples_file, load_store, load_store_dir, save_store
 from fedcard.summaries import save_summary
 
@@ -54,6 +63,31 @@ def test_toy_results_under_a_cap_of_3_match_golden():
     rows = evaluate_queries(toy_queries(), ENGINE_NAMES, [toy1_store()], cap=3)
     expected = (GOLDEN / "toy_cap3_results.csv").read_text(encoding="utf-8")
     assert rows_to_csv(rows) == expected
+
+
+def test_edge_results_csv_matches_golden():
+    rows = evaluate_queries(edge_queries(), ENGINE_NAMES, bench_stores())
+    expected = (GOLDEN / "edge_results.csv").read_text(encoding="utf-8")
+    assert rows_to_csv(rows) == expected
+
+
+def test_edge_queries_plan_every_edge_shape(monkeypatch):
+    general = []  # the oracle groups both sides only when each keeps a variable of its own
+
+    def group(*args):
+        general.append(args)
+        return grouped(*args)
+
+    grouped = fedcard.oracle._group
+    monkeypatch.setattr(fedcard.oracle, "_group", group)
+    rows = evaluate_queries(edge_queries(), ENGINE_NAMES, bench_stores())
+    assert all(row.status == "ok" for row in rows)
+    nodes = [node for row in rows for node in join_nodes(row.plan)]
+    edges = [edge for node in nodes for edge in node.edges]
+    assert {edge.kind for edge in edges} == set(JoinKind)
+    assert general  # e07_cycle
+    assert any(not node.edges for node in nodes)  # e08_cartesian
+    assert any(edge.left > edge.right for edge in edges)  # e02_so_reversed, among others
 
 
 @pytest.mark.parametrize("method", ["spearman", "ols", "irls"])

@@ -12,7 +12,7 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from fedcard.estimators import ENGINE_NAMES
 from fedcard.evaluation import STATUS_FAILED, evaluate_queries
-from fedcard.expr import Leaf, join, join_nodes, leaves
+from fedcard.expr import Join, Leaf, join_nodes, leaves
 from fedcard.ntriples import Triple, blank, format_term, format_triple, iri, literal
 from fedcard.oracle import Oracle, true_tp_card
 from fedcard.query import TriplePattern, Var
@@ -38,7 +38,7 @@ patterns = st.lists(
 def _left_deep(tps):
     plan = Leaf(tps[0])
     for pattern in tps[1:]:
-        plan = join(plan, Leaf(pattern))
+        plan = Join(plan, Leaf(pattern))
     return plan
 
 

@@ -10,7 +10,7 @@ from conftest import tp, toy_iri
 from helpers import decode_keys, evaluate_expression, match_triples
 
 from fedcard.estimators import make_estimator
-from fedcard.expr import Leaf, join, join_nodes, leaves, patterns as expr_patterns, variables
+from fedcard.expr import Join, Leaf, join_nodes, leaves
 from fedcard.fixtures import BENCH_BASE, bench_stores, fig_example_query
 from fedcard.ntriples import Triple, iri
 from fedcard.oracle import (
@@ -26,7 +26,7 @@ from fedcard.store import build_store
 def nested_loop_rows(expr, stores) -> list[dict]:
     """Independent oracle: binding enumeration without hash tables."""
     rows = [dict()]
-    for pattern in expr_patterns(expr):
+    for pattern in expr.patterns:
         leaf_rows = []
         for store in stores:
             for t in match_triples(store, pattern):
@@ -61,7 +61,7 @@ def test_true_tp_card_additive_over_sources(toy_ab):
 
 
 def test_star_join_binding(toy1):
-    expr = join(Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1)))
+    expr = Join(Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1)))
     bag = evaluate_expression(expr, [toy1])
     assert len(bag) == 1
     (binding,) = bag
@@ -70,17 +70,17 @@ def test_star_join_binding(toy1):
 
 
 def test_cartesian_product(toy1):
-    expr = join(Leaf(tp("?a", "p", "?b", 0)), Leaf(tp("?c", "q", "?d", 1)))
+    expr = Join(Leaf(tp("?a", "p", "?b", 0)), Leaf(tp("?c", "q", "?d", 1)))
     assert len(evaluate_expression(expr, [toy1])) == 6
 
 
 def test_empty_leaf_empty_bag(toy1):
-    expr = join(Leaf(tp("?a", "absent", "?b", 0)), Leaf(tp("?c", "q", "?d", 1)))
+    expr = Join(Leaf(tp("?a", "absent", "?b", 0)), Leaf(tp("?c", "q", "?d", 1)))
     assert evaluate_expression(expr, [toy1]) == []
 
 
 def test_oracle_blowup_raises(toy1):
-    expr = join(Leaf(tp("?a", "p", "?b", 0)), Leaf(tp("?c", "q", "?d", 1)))
+    expr = Join(Leaf(tp("?a", "p", "?b", 0)), Leaf(tp("?c", "q", "?d", 1)))
     with pytest.raises(OracleBlowupError) as err:
         evaluate_expression(expr, [toy1], cap=5)
     assert "oracle blow-up" in str(err.value)
@@ -90,15 +90,15 @@ def test_cross_source_joins_allowed():
     # The path exists only across the two sources.
     s1 = build_store("S1", [Triple(toy_iri("a"), toy_iri("p"), toy_iri("b"))])
     s2 = build_store("S2", [Triple(toy_iri("b"), toy_iri("q"), toy_iri("c"))])
-    expr = join(Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?y", "q", "?z", 1)))
+    expr = Join(Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?y", "q", "?z", 1)))
     assert len(evaluate_expression(expr, [s1, s2])) == 1
     assert len(evaluate_expression(expr, [s1])) == 0
     assert len(evaluate_expression(expr, [s2])) == 0
 
 
 def test_join_order_independence(toy1):
-    left = join(Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1)))
-    right = join(Leaf(tp("?x", "q", "?z", 1)), Leaf(tp("?x", "p", "?y", 0)))
+    left = Join(Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1)))
+    right = Join(Leaf(tp("?x", "q", "?z", 1)), Leaf(tp("?x", "p", "?y", 0)))
     assert len(evaluate_expression(left, [toy1])) == len(evaluate_expression(right, [toy1]))
 
 
@@ -130,13 +130,13 @@ def test_hash_join_matches_nested_loop_random():
         ]
         expr = Leaf(tps[0])
         for pattern in tps[1:]:
-            expr = join(expr, Leaf(pattern))
+            expr = Join(expr, Leaf(pattern))
         assert len(evaluate_expression(expr, stores)) == nested_loop_count(expr, stores)
 
 
 def test_oracle_cache_consistency(toy1):
     oracle = Oracle([toy1])
-    expr = join(Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1)))
+    expr = Join(Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1)))
     assert oracle.cardinality(expr) == 1
     assert oracle.cardinality(expr) == 1  # cached path
     assert oracle.cardinality(Leaf(tp("?x", "p", "?y", 0))) == 3
@@ -144,7 +144,7 @@ def test_oracle_cache_consistency(toy1):
 
 
 def test_trace_toy_star(toy1, toy1_summaries):
-    plan = join(Leaf(tp("?s", "p", "?a", 0)), Leaf(tp("?s", "q", "?b", 1)))
+    plan = Join(Leaf(tp("?s", "p", "?a", 0)), Leaf(tp("?s", "q", "?b", 1)))
     for engine in ("costfed", "splendid", "lhd", "semagrow", "odyssey"):
         estimator = make_estimator(engine, toy1_summaries, [toy1])
         trace = trace_plan(plan, estimator, Oracle([toy1]), query_id="toy_star")
@@ -155,7 +155,7 @@ def test_trace_toy_star(toy1, toy1_summaries):
 
 def test_trace_fig_example(fig_store, fig_summaries):
     bgp = parse_query(fig_example_query())
-    plan = join(join(Leaf(bgp.patterns[0]), Leaf(bgp.patterns[1])), Leaf(bgp.patterns[2]))
+    plan = Join(Join(Leaf(bgp.patterns[0]), Leaf(bgp.patterns[1])), Leaf(bgp.patterns[2]))
     estimator = make_estimator("costfed", fig_summaries, [fig_store])
     trace = trace_plan(plan, estimator, Oracle([fig_store]), query_id="fig1")
     assert trace.tp_real == (100.0, 200.0, 300.0)
@@ -174,7 +174,7 @@ def test_trace_worked_example_with_stub_estimator(fig_store):
         name = "engine1"
 
         def __init__(self):
-            pass
+            super().__init__(None, ())
 
         def tp_card(self, pattern):
             return {0: 90.0, 1: 250.0, 2: 300.0}[pattern.ordinal]
@@ -183,7 +183,7 @@ def test_trace_worked_example_with_stub_estimator(fig_store):
             return {frozenset({0, 1}): 65.0, frozenset({0, 1, 2}): 150.0}[ordinals(node)]
 
     bgp = parse_query(fig_example_query())
-    plan = join(join(Leaf(bgp.patterns[0]), Leaf(bgp.patterns[1])), Leaf(bgp.patterns[2]))
+    plan = Join(Join(Leaf(bgp.patterns[0]), Leaf(bgp.patterns[1])), Leaf(bgp.patterns[2]))
     trace = trace_plan(plan, Stub(), Oracle([fig_store]), query_id="fig1")
     assert trace.tp_real + trace.join_real == (100.0, 200.0, 300.0, 50.0, 50.0)
     assert trace.tp_est + trace.join_est == (90.0, 250.0, 300.0, 65.0, 150.0)
@@ -198,7 +198,7 @@ def test_trace_over_empty_store():
     from fedcard.summaries import build_all
 
     summaries = build_all([empty])
-    plan = join(Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1)))
+    plan = Join(Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1)))
     estimator = make_estimator("splendid", summaries, [empty])
     trace = trace_plan(plan, estimator, Oracle([empty]))
     assert trace.tp_real == (0.0, 0.0)
@@ -237,7 +237,7 @@ def _random_tree(rng, tps):
         return Leaf(tps[0])
     tps = rng.sample(tps, len(tps))
     cut = rng.randrange(1, len(tps))
-    return join(_random_tree(rng, tps[:cut]), _random_tree(rng, tps[cut:]))
+    return Join(_random_tree(rng, tps[:cut]), _random_tree(rng, tps[cut:]))
 
 
 def _candidate_joins(plan):
@@ -246,8 +246,8 @@ def _candidate_joins(plan):
     prefix = Leaf(chain[0])
     out = []
     for i, step in enumerate(chain[1:], start=1):
-        out.extend(join(prefix, Leaf(tp)) for tp in chain[i:])
-        prefix = join(prefix, Leaf(step))
+        out.extend(Join(prefix, Leaf(tp)) for tp in chain[i:])
+        prefix = Join(prefix, Leaf(step))
     return out
 
 
@@ -260,7 +260,7 @@ def test_shared_oracle_counts_match_nested_loop_random():
         oracle = Oracle(stores)
         left_deep = Leaf(tps[0])
         for pattern in rng.sample(tps[1:], len(tps) - 1):
-            left_deep = join(left_deep, Leaf(pattern))
+            left_deep = Join(left_deep, Leaf(pattern))
         plans = [left_deep, _random_tree(rng, tps), _random_tree(rng, tps)]
         bushy += any(not isinstance(node.right, Leaf) for p in plans for node in join_nodes(p))
         exprs = [node for p in plans for node in [*leaves(p), *join_nodes(p)]]
@@ -270,7 +270,7 @@ def test_shared_oracle_counts_match_nested_loop_random():
             root = oracle.bindings(expr)
             assert sum(root.values()) == len(rows) and set(root) <= {()}
             assert oracle.cardinality(expr) == len(rows)
-            names = sorted(variables(expr))
+            names = sorted(expr.variables)
             keep = frozenset(rng.sample(names, rng.randrange(len(names) + 1)))
             projected = Counter(tuple(row[v] for v in sorted(keep)) for row in rows)
             assert decode_keys(oracle.bindings(expr, keep)) == projected
@@ -281,13 +281,13 @@ def _plan_nodes(rng, tps):
     """Every node of a random left-deep and a random bushy plan, plus the left-deep candidate joins."""
     left_deep = Leaf(tps[0])
     for pattern in rng.sample(tps[1:], len(tps) - 1):
-        left_deep = join(left_deep, Leaf(pattern))
+        left_deep = Join(left_deep, Leaf(pattern))
     plans = [left_deep, _random_tree(rng, tps)]
     return [node for p in plans for node in [*leaves(p), *join_nodes(p)]] + _candidate_joins(left_deep)
 
 
 def _projections(expr):
-    names = sorted(variables(expr))
+    names = sorted(expr.variables)
     return [frozenset(c) for r in range(len(names) + 1) for c in combinations(names, r)]
 
 
@@ -300,7 +300,7 @@ def _random_cases(seed, cases=40):
         nodes = _plan_nodes(rng, tps)
         for expr in nodes:
             if not isinstance(expr, Leaf):
-                lvars, rvars = variables(expr.left), variables(expr.right)
+                lvars, rvars = expr.left.variables, expr.right.variables
                 nested += not (lvars <= rvars or rvars <= lvars)  # each side can add a variable
                 multi_shared += len(lvars & rvars) > 1
         yield stores, nodes
@@ -353,8 +353,8 @@ def _fanout_store():
     "expr, total",
     [
         (Leaf(tp("?x", "p", "?o", 0)), 4),
-        (join(Leaf(tp("?x", "p", "?o", 0)), Leaf(tp("?y", "p", "?o", 1))), 16),
-        (join(Leaf(tp("?x", "p", "?o", 0)), Leaf(tp("?y", "q", "?z", 1))), 8),
+        (Join(Leaf(tp("?x", "p", "?o", 0)), Leaf(tp("?y", "p", "?o", 1))), 16),
+        (Join(Leaf(tp("?x", "p", "?o", 0)), Leaf(tp("?y", "q", "?z", 1))), 8),
     ],
     ids=["leaf", "keyed-join", "cartesian-join"],
 )
@@ -366,7 +366,7 @@ def test_cap_boundary(expr, total):
     assert (err.value.size, err.value.cap) == (total, total - 1)
     # On a join, keeping nothing counts only, keeping ?x leaves one side
     # adding no output variable, and keeping every variable groups both sides.
-    for keep in (frozenset(), frozenset({"x"}), frozenset(variables(expr))):
+    for keep in (frozenset(), frozenset({"x"}), frozenset(expr.variables)):
         assert sum(Oracle([store], cap=total).bindings(expr, keep).values()) == total
         with pytest.raises(OracleBlowupError) as err:
             Oracle([store], cap=total - 1).bindings(expr, keep)
@@ -391,9 +391,9 @@ def test_cap_boundary(expr, total):
 )
 def test_one_sided_join_equals_the_expanded_bag(left, right, keep):
     stores = [_fanout_store(), build_store("G", [Triple(toy_iri("s1"), toy_iri("q"), toy_iri("o"))])]
-    expr = join(Leaf(tp(*left, 0)), Leaf(tp(*right, 1)))
+    expr = Join(Leaf(tp(*left, 0)), Leaf(tp(*right, 1)))
     keep = frozenset(keep)
-    assert keep <= variables(expr.left) or keep <= variables(expr.right)
+    assert keep <= expr.left.variables or keep <= expr.right.variables
     names = sorted(keep)
     expected = Counter(tuple(row[v] for v in names) for row in evaluate_expression(expr, stores))
     assert decode_keys(Oracle(stores).bindings(expr, keep)) == expected
@@ -408,7 +408,7 @@ def test_cartesian_query_counts_without_materialising():
         for i, name in enumerate(("type", "name", "linksTo"))
     ]
     expected = prod(true_tp_card(pattern, stores) for pattern in tps)
-    plan = join(join(Leaf(tps[0]), Leaf(tps[1])), Leaf(tps[2]))
+    plan = Join(Join(Leaf(tps[0]), Leaf(tps[1])), Leaf(tps[2]))
     tracemalloc.start()
     try:
         assert Oracle(stores, cap=10**12).cardinality(plan) == expected

@@ -5,7 +5,7 @@ import pytest
 from conftest import tp
 
 from fedcard.estimators import make_estimator
-from fedcard.expr import Leaf, describe, join, join_nodes, leaves, patterns as expr_patterns
+from fedcard.expr import Join, Leaf, describe, join_nodes, leaves
 from fedcard.fixtures import fig_example_query
 from fedcard.ntriples import Triple, iri
 from fedcard.oracle import Oracle, OracleBlowupError
@@ -21,7 +21,7 @@ def injected_card(leaf_estimates):
         if isinstance(expr, Leaf):
             return float(leaf_estimates[expr.pattern.ordinal])
         total = 1.0
-        for pattern in expr_patterns(expr):
+        for pattern in expr.patterns:
             total *= leaf_estimates[pattern.ordinal]
         return total
 
@@ -95,7 +95,7 @@ def test_two_pattern_query_is_only_plan(toy1):
 
 def test_only_plan_decided_before_optimality(toy1):
     # Even a "bad" two-pattern order is OnlyP: there is nothing to reorder.
-    plan = join(Leaf(tp("?s", "q", "?b", 1)), Leaf(tp("?s", "p", "?a", 0)))
+    plan = Join(Leaf(tp("?s", "q", "?b", 1)), Leaf(tp("?s", "p", "?a", 0)))
     oracle = Oracle([toy1])
     assert classify_plan(plan, oracle.cardinality) is PlanClass.ONLY_PLAN
 
@@ -108,7 +108,7 @@ def test_classify_failed_on_oracle_blowup(fig_bgp, fig_store):
 
 def test_classify_rejects_bushy_plans(fig_bgp):
     tps = fig_bgp.patterns
-    bushy = join(join(Leaf(tps[0]), Leaf(tps[1])), join(Leaf(tps[2]), Leaf(tps[0])))
+    bushy = Join(Join(Leaf(tps[0]), Leaf(tps[1])), Join(Leaf(tps[2]), Leaf(tps[0])))
     with pytest.raises(ValueError):
         classify_plan(bushy, lambda e: 0.0)
 
