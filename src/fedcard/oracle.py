@@ -4,10 +4,14 @@ Bag semantics throughout: duplicates are preserved, matching SELECT without
 DISTINCT. No intermediate binding is materialised. Each node's bag is kept
 as a multiplicity map projected onto the variables that the rest of the
 plan still reads: a distinct projected binding maps to the number of full
-bindings that share it. Every map is keyed by tuples of process-wide term
-ids, from the leaf's counted id rows to the root, so no term is decoded or
-hashed here. A join sums each side per shared-variable key and multiplies
-counts, so a cartesian product is one multiplication (the aggregate form of
+bindings that share it. Every map is keyed by process-wide term ids, from
+the leaf's counted id rows to the root, so no term is decoded or hashed
+here. A key is what ``operator.itemgetter`` returns over the kept
+positions: the bare id of a single kept variable, a tuple of ids in sorted
+variable-name order for two or more, and ``()`` for none. Most maps keep one
+variable, so most keys are plain ints and no per-row tuple is built. A
+join sums each side per shared-variable key and multiplies counts, so a
+cartesian product is one multiplication (the aggregate form of
 Yannakakis-style evaluation). A count-only node (one asked for no
 variables) is pure arithmetic: a leaf's total is the length of its matches,
 and a join's is ``sum(left[k] * right[k])`` over maps keyed by exactly the
@@ -26,7 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import itemgetter, mul
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .estimators.base import CardinalityEstimator, PlanEstimates
 from .expr import Expression, Leaf, join_nodes, leaves, ordinals
@@ -36,8 +40,10 @@ from .store import TripleStore, match
 DEFAULT_ORACLE_CAP = 10_000_000
 ORACLE_CAP_ENV = "FEDCARD_ORACLE_CAP"
 
-# Projected binding as term ids, in sorted variable-name order -> its multiplicity.
-Counts = dict[tuple[int, ...], int]
+# Projected binding -> its multiplicity. The key is ``itemgetter`` over the
+# kept variables in sorted-name order: a bare term id for one variable, a
+# tuple of ids for two or more, ``()`` for none.
+Counts = dict[int | tuple[int, ...], int]
 
 
 class OracleBlowupError(RuntimeError):
@@ -62,26 +68,33 @@ def default_cap() -> int:
     return int(env)
 
 
-def _projector(fields: Sequence[int]) -> Callable[[tuple], tuple]:
-    """Map a row to the tuple of its items at ``fields``."""
-    if not fields:
-        return lambda row: ()
-    if len(fields) == 1:
-        get = itemgetter(fields[0])
-        return lambda row: (get(row),)
-    return itemgetter(*fields)
+def _projector(names: Sequence[str], onto: Sequence[str]) -> Callable:
+    """Map a key over ``names`` to its key over ``onto``, a subsequence of ``names``."""
+    if not onto:
+        return lambda key: ()
+    if onto == names:
+        return lambda key: key
+    return itemgetter(*map(names.index, onto))
 
 
-def _column_keys(rows: Counts, fields: Sequence[int]) -> Iterator[tuple]:
-    """The tuple of each row's items at ``fields``, in row order, built in C."""
-    if not fields:
-        return repeat((), len(rows))
-    return zip(*(map(itemgetter(i), rows) for i in fields))
+def _tuple_projector(names: Sequence[str], onto: Sequence[str]) -> Callable:
+    """``_projector`` whose one-variable keys are 1-tuples, so that parts concatenate."""
+    get = _projector(names, onto)
+    return (lambda key: (get(key),)) if len(onto) == 1 else get
 
 
-def _group(counts: Counts, key_of: Callable, part_of: Callable) -> dict[tuple, Counts]:
+def _column_keys(counts: Counts, names: Sequence[str], onto: Sequence[str]) -> Iterable:
+    """Each key of ``counts`` (over ``names``) projected onto ``onto``, in map order, built in C."""
+    if not onto:
+        return repeat((), len(counts))
+    if onto == names:
+        return counts
+    return map(_projector(names, onto), counts)
+
+
+def _group(counts: Counts, key_of: Callable, part_of: Callable) -> dict[Hashable, Counts]:
     """Split a map by ``key_of``, summing multiplicities per ``part_of`` within each key."""
-    groups: dict[tuple, Counts] = {}
+    groups: dict[Hashable, Counts] = {}
     for row, n in counts.items():
         group = groups.setdefault(key_of(row), {})
         part = part_of(row)
@@ -99,7 +112,7 @@ class Oracle:
 
     Natural joins are associative and commutative under bag semantics, so
     a node's bag depends only on the set of leaf ordinals it covers. Maps
-    are keyed by term-id tuples and cached by that set and the projection;
+    are keyed by term ids and cached by that set and the projection;
     each node's total bag size is cached by the set alone, so
     ``cardinality`` of a node that has been evaluated under any projection
     is a lookup. ``cardinality`` asks for no variables, so a node first
@@ -117,11 +130,12 @@ class Oracle:
     def bindings(self, expr: Expression, keep: frozenset[str] = frozenset()) -> Counts:
         """The bag of ``expr`` projected onto ``sorted(keep)``, with multiplicities.
 
-        ``keep`` is a subset of the expression's variables; each key is the
-        tuple of the kept variables' term ids (``store.term_of`` decodes
-        them). Raises OracleBlowupError, before building the map, when the
-        bag of this node or of any node below it holds more than ``cap``
-        bindings.
+        ``keep`` is a subset of the expression's variables. Each key holds
+        the kept variables' term ids (``store.term_of`` decodes them): the
+        bare id when one variable is kept, a tuple of ids in sorted-name
+        order when two or more are, and ``()`` when none is. Raises
+        OracleBlowupError, before building the map, when the bag of this
+        node or of any node below it holds more than ``cap`` bindings.
         """
         node = ordinals(expr)
         cached = self._maps.get((node, keep))
@@ -140,11 +154,10 @@ class Oracle:
                 for position, slot in enumerate((tp.subject, tp.predicate, tp.object)):
                     if isinstance(slot, Var):
                         position_of.setdefault(slot.name, position)
-                getters = [itemgetter(position_of[v]) for v in names]
+                key_of = itemgetter(*(position_of[v] for v in names))
                 result: Counts = Counter()
                 for rows in parts:
-                    # zip builds each key tuple without a Python-level call per row.
-                    result.update(zip(*(map(get, rows) for get in getters)))
+                    result.update(map(key_of, rows))
             else:
                 result = {(): total} if total else {}
         else:
@@ -170,29 +183,21 @@ class Oracle:
                 # that scales the other side's rows, which carry every kept variable.
                 if not keep <= lvars:
                     left, lnames, right = right, rnames, left
-                keys = _column_keys(left, [lnames.index(v) for v in shared])
+                keys = _column_keys(left, lnames, shared)
                 counts = list(map(mul, left.values(), map(right.get, keys, repeat(0))))
                 total = sum(counts)
                 if total > self.cap:
                     raise OracleBlowupError(total, self.cap)
                 # Each row that found a partner, re-projected onto the kept variables.
-                out = _column_keys(left, [lnames.index(v) for v in names])
+                out = _column_keys(left, lnames, names)
                 result = {}
                 for key, n in compress(zip(out, counts), counts):
                     result[key] = result.get(key, 0) + n
             else:
                 lout = [v for v in names if v in lvars]
                 rout = [v for v in names if v not in lvars]
-                lgroups = _group(
-                    left,
-                    _projector([lnames.index(v) for v in shared]),
-                    _projector([lnames.index(v) for v in lout]),
-                )
-                rgroups = _group(
-                    right,
-                    _projector([rnames.index(v) for v in shared]),
-                    _projector([rnames.index(v) for v in rout]),
-                )
+                lgroups = _group(left, _projector(lnames, shared), _tuple_projector(lnames, lout))
+                rgroups = _group(right, _projector(rnames, shared), _tuple_projector(rnames, rout))
                 matched = [
                     (lg, rg) for k, lg in lgroups.items() if (rg := rgroups.get(k)) is not None
                 ]
@@ -200,7 +205,7 @@ class Oracle:
                 if total > self.cap:
                     raise OracleBlowupError(total, self.cap)
 
-                arrange = _projector([(lout + rout).index(v) for v in names])
+                arrange = _projector(lout + rout, names)
                 result = {}
                 for lg, rg in matched:
                     for lpart, ln in lg.items():

@@ -81,7 +81,8 @@ SUBJECT, PREDICATE, OBJECT = "s", "p", "o"
 class TriplePattern:
     """One triple pattern; ``ordinal`` is its 0-based position in the query.
 
-    ``var_names`` is the frozenset of its variable names. ``slot_key`` names
+    ``var_names`` is the frozenset of its variable names, and
+    ``var_positions`` the positions each one occupies. ``slot_key`` names
     its slots, not its ordinal: the canonical N-Triples token of each bound
     slot and ``?name`` of each variable, so ``?x p ?x`` and ``?x p ?y`` get
     different keys; the store and estimator memos are keyed by it.
@@ -93,13 +94,19 @@ class TriplePattern:
     ordinal: int = 0
     _hash: int = field(init=False, compare=False, repr=False)
     var_names: frozenset[str] = field(init=False, compare=False, repr=False)
+    _positions: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
     slot_key: tuple[str, str, str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         spo = (self.subject, self.predicate, self.object)
         setattr_ = object.__setattr__
         setattr_(self, "_hash", hash((*spo, self.ordinal)))
-        setattr_(self, "var_names", frozenset(s.name for s in spo if isinstance(s, Var)))
+        positions: dict[str, tuple[str, ...]] = {}
+        for pos, slot in zip((SUBJECT, PREDICATE, OBJECT), spo):
+            if isinstance(slot, Var):
+                positions[slot.name] = positions.get(slot.name, ()) + (pos,)
+        setattr_(self, "_positions", positions)
+        setattr_(self, "var_names", frozenset(positions))
         key = tuple(f"?{s.name}" if isinstance(s, Var) else format_term(s) for s in spo)
         setattr_(self, "slot_key", key)
 
@@ -113,7 +120,7 @@ class TriplePattern:
         return set(self.var_names)
 
     def var_positions(self, name: str) -> tuple[str, ...]:
-        return tuple(pos for pos, slot in self.slots() if isinstance(slot, Var) and slot.name == name)
+        return self._positions.get(name, ())
 
     def bound_predicate(self) -> str | None:
         """Predicate IRI if ground, else None."""

@@ -29,7 +29,7 @@ import threading
 from collections import defaultdict
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .ntriples import (
     NTriplesParseError,
@@ -40,7 +40,9 @@ from .ntriples import (
     parse_term,
     read_ntriples,
 )
-from .query import TriplePattern
+
+if TYPE_CHECKING:
+    from .query import TriplePattern
 
 STORE_FORMAT_VERSION = 2
 

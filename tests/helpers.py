@@ -49,9 +49,15 @@ def evaluate_expression(
     return [dict(zip(names, row)) for row, n in counts.items() for _ in range(n)]
 
 
-def decode_keys(counts: Mapping[tuple[int, ...], int]) -> dict[tuple[Term, ...], int]:
-    """``counts`` with every key, a tuple of term ids, decoded to its terms."""
-    return {tuple(map(term_of, key)): n for key, n in counts.items()}
+def decode_keys(counts: Mapping[int | tuple[int, ...], int]) -> dict[tuple[Term, ...], int]:
+    """``counts`` with every key decoded to the tuple of its terms.
+
+    A key is a bare term id (one kept variable) or a tuple of ids.
+    """
+    return {
+        (term_of(key),) if type(key) is int else tuple(map(term_of, key)): n
+        for key, n in counts.items()
+    }
 
 
 def lhd_multi_join_card(

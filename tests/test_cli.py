@@ -396,8 +396,8 @@ def _run_in_process(*args):
 
 def test_each_command_loads_only_the_modules_it_runs(workspace, tmp_path):
     """``import fedcard.cli`` loads no fedcard module of its own; a command
-    loads only what it runs (ingest no statistics or estimators, correlate
-    no store, estimators or oracle)."""
+    loads only what it runs (ingest no query, statistics or estimators,
+    correlate no store, estimators or oracle)."""
     assert _modules_loaded_after("import fedcard.cli", tmp_path) == {"fedcard", "fedcard.cli"}
 
     nt = workspace / "fx/toy/sources/A.nt"
@@ -405,7 +405,7 @@ def test_each_command_loads_only_the_modules_it_runs(workspace, tmp_path):
         _run_in_process("ingest", "--source", "A", "--file", str(nt), "--out", "st"), tmp_path
     )
     assert "fedcard.store" in loaded
-    for module in ("estimators", "evaluation", "oracle", "stats", "summaries", "fixtures"):
+    for module in ("estimators", "evaluation", "oracle", "query", "stats", "summaries", "fixtures"):
         assert f"fedcard.{module}" not in loaded
 
     golden = Path(__file__).parent / "golden"

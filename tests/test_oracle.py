@@ -6,10 +6,12 @@ from math import prod
 
 import pytest
 
-from conftest import tp, toy_iri
+from conftest import edge_queries, tp, toy_iri
 from helpers import decode_keys, evaluate_expression, match_triples
 
-from fedcard.estimators import make_estimator
+import fedcard.oracle
+from fedcard.estimators import ENGINE_NAMES, make_estimator
+from fedcard.evaluation import evaluate_queries
 from fedcard.expr import Join, Leaf, join_nodes, leaves
 from fedcard.fixtures import BENCH_BASE, bench_stores, fig_example_query
 from fedcard.ntriples import Triple, iri
@@ -324,10 +326,47 @@ def test_maps_are_keyed_by_term_ids():
             for keep in _projections(expr):
                 counts = Oracle(stores).bindings(expr, keep)
                 for key in counts:
-                    assert type(key) is tuple and len(key) == len(keep)
-                    assert all(type(term) is int for term in key)
+                    if len(keep) == 1:
+                        assert type(key) is int
+                    else:
+                        assert type(key) is tuple and len(key) == len(keep)
+                        assert all(type(term) is int for term in key)
                 projected = Counter(tuple(row[v] for v in sorted(keep)) for row in rows)
                 assert decode_keys(counts) == projected
+
+
+def test_one_variable_keys_reach_every_join_branch(monkeypatch):
+    """A one-variable map is keyed by bare ids; the one-sided join probes
+    and re-projects such maps, and the general join groups by such keys
+    before it concatenates tuple parts."""
+    seen = Counter()
+    column_keys, group = fedcard.oracle._column_keys, fedcard.oracle._group
+
+    def spy_column_keys(counts, names, onto):
+        keys = list(column_keys(counts, names, onto))
+        seen["one-sided"] += any(type(key) is int for key in [*counts, *keys])
+        return keys
+
+    def spy_group(counts, key_of, part_of):
+        groups = group(counts, key_of, part_of)
+        seen["general"] += any(type(key) is int for key in [*counts, *groups])
+        return groups
+
+    monkeypatch.setattr(fedcard.oracle, "_column_keys", spy_column_keys)
+    monkeypatch.setattr(fedcard.oracle, "_group", spy_group)
+    for stores, nodes in _random_cases(41):
+        oracle = Oracle(stores)
+        for expr in nodes:
+            rows = nested_loop_rows(expr, stores)
+            for keep in _projections(expr):
+                projected = Counter(tuple(row[v] for v in sorted(keep)) for row in rows)
+                assert decode_keys(oracle.bindings(expr, keep)) == projected
+    assert seen["one-sided"] and seen["general"]
+
+    seen.clear()
+    rows = evaluate_queries(edge_queries(), ENGINE_NAMES, bench_stores())
+    assert all(row.status == "ok" for row in rows)
+    assert seen["one-sided"] and seen["general"]  # general: e07_cycle
 
 
 def test_count_first_and_projected_first_agree():
