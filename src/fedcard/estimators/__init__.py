@@ -15,7 +15,6 @@ from .base import (
     CardinalityEstimator,
     Engine,
     EstimationError,
-    PlanEstimates,
     select_sources,
 )
 from .costfed import CostFedEstimator
@@ -57,7 +56,6 @@ __all__ = [
     "EstimationError",
     "LhdEstimator",
     "OdysseyEstimator",
-    "PlanEstimates",
     "SemaGrowEstimator",
     "SplendidEstimator",
     "make_estimator",

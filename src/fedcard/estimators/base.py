@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from ..expr import Expression, Join, Leaf
+from ..expr import Expression, Join, Leaf, join_nodes, leaves
 from ..query import JoinEdge, TriplePattern, Var
 from ..store import TripleStore, match
 from ..summaries import SourceVoid, SummarySet
@@ -73,25 +72,17 @@ def _checked(value: float) -> float:
     return float(value)
 
 
-@dataclass(slots=True)
-class PlanEstimates:
-    """Per-node estimates of one plan: leaves by ordinal, joins bottom-up."""
-
-    tp_est: dict[int, float] = field(default_factory=dict)
-    join_est: list[float] = field(default_factory=list)
-    fallback_used: bool = False  # some node's estimate took the engine's fallback
-
-
 class CardinalityEstimator:
     """Base class; engines override leaf/join estimation.
 
-    All estimates are non-negative finite reals; rounding is left to
-    presentation. The summaries and stores are fixed once built. Each
-    instance memoises two pure functions of them: every distinct plan node's
-    estimate and every distinct pattern's source selection are computed once
-    per instance. Both memos are written idempotently (a racing miss stores
-    an equal value), so an instance is safe to share, like a store's match
-    memo.
+    Every node's estimate, leaf or join, is checked to be a non-negative
+    finite real before anything reads it; an invalid one raises
+    EstimationError. Rounding is left to presentation. The summaries and
+    stores are fixed once built. Each instance memoises two pure functions
+    of them: every distinct plan node's estimate and every distinct
+    pattern's source selection are computed once per instance. Both memos
+    are written idempotently (a racing miss stores an equal value), so an
+    instance is safe to share, like a store's match memo.
     """
 
     engine: Engine
@@ -155,47 +146,42 @@ class CardinalityEstimator:
     # -- generic bottom-up plan walk --------------------------------------
 
     def _estimate(self, node: Expression) -> tuple[float, bool]:
-        """The unchecked ``(estimate, fallback)`` of ``node``, computed once per node.
+        """The checked ``(estimate, fallback)`` of ``node``, computed once per node.
 
-        A join is estimated only after both its children checked valid, so
-        a memoised join vouches for the nodes below it. An exception is
-        never memoised: it recurs on every call that reaches the node.
+        Children are estimated before their join (post-order), and every
+        estimate is checked before it is memoised, so a memoised node
+        vouches for every node below it. An exception is never memoised: it
+        recurs on every call that reaches the node.
         """
         found = self._node_estimates.get(node)
         if found is None:
             if isinstance(node, Leaf):
-                found = self._leaf_card_flagged(node.pattern)
+                card, fallback = self._leaf_card_flagged(node.pattern)
             else:
-                left = _checked(self._estimate(node.left)[0])
-                right = _checked(self._estimate(node.right)[0])
-                found = self._join_card_flagged(node, left, right)
-            self._node_estimates[node] = found
+                left = self._estimate(node.left)[0]
+                right = self._estimate(node.right)[0]
+                card, fallback = self._join_card_flagged(node, left, right)
+            found = self._node_estimates[node] = (_checked(card), fallback)
         return found
 
-    def evaluate_plan(self, plan: Expression) -> PlanEstimates:
-        """Bottom-up per-node estimates; join order is post-order of join nodes."""
-        est = PlanEstimates()
+    def evaluate_plan(
+        self, plan: Expression
+    ) -> tuple[tuple[float, ...], tuple[float, ...], bool]:
+        """``(tp_est, join_est, fallback_used)`` of every node of ``plan``.
 
-        def rec(node: Expression) -> None:
-            if isinstance(node, Join):
-                rec(node.left)
-                rec(node.right)
-            card, fb = self._estimate(node)
-            card = _checked(card)
-            if isinstance(node, Leaf):
-                est.tp_est[node.pattern.ordinal] = card
-            else:
-                est.join_est.append(card)
-            est.fallback_used |= fb
-
-        rec(plan)
-        return est
+        Leaf estimates come in pattern-ordinal order and join estimates
+        bottom-up; ``fallback_used`` says whether some node's estimate took
+        the engine's fallback. One walk estimates the plan, so the first
+        invalid estimate in post-order raises; each node is then a lookup.
+        """
+        self._estimate(plan)
+        memo = self._node_estimates
+        tp_leaves = sorted(leaves(plan), key=lambda leaf: leaf.pattern.ordinal)
+        joins = join_nodes(plan)
+        tp_est = tuple(memo[leaf][0] for leaf in tp_leaves)
+        join_est = tuple(memo[node][0] for node in joins)
+        return tp_est, join_est, any(memo[node][1] for node in (*tp_leaves, *joins))
 
     def expression_card(self, expr: Expression) -> float:
-        """Estimate of an arbitrary (partial) plan; drives the greedy planner.
-
-        A leaf's estimate is returned unchecked: an invalid one fails where
-        a join above it, or the plan walk, checks it.
-        """
-        card = self._estimate(expr)[0]
-        return card if isinstance(expr, Leaf) else _checked(card)
+        """Checked estimate of an arbitrary (partial) plan; drives the greedy planner."""
+        return self._estimate(expr)[0]

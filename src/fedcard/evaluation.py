@@ -96,10 +96,7 @@ def evaluate_query(
     except EstimationError as exc:
         row.status, row.plan_class, row.error = STATUS_FAILED, PlanClass.FAILED, str(exc)
     else:
-        if row.plan_class is PlanClass.FAILED:
-            row.status = STATUS_BLOWUP
-        else:
-            row.metrics = bundle(row.trace)
+        row.metrics = bundle(row.trace)
     return row
 
 

@@ -13,7 +13,7 @@ from typing import Union
 from .query import JoinEdge, TriplePattern, cached_hash, edges_between, rebuild
 
 
-# A node caches its hash and what the per-row layers read of it (its leaves,
+# A node caches its hash and what the per-row layers read of it (its
 # patterns, ordinals and variables, and a join's edges) at construction, as
 # the query objects do (see ``query.cached_hash``). A join builds its facts
 # from its children's.
@@ -49,7 +49,6 @@ class Join:
     right: "Expression"
     edges: tuple[JoinEdge, ...] = field(init=False, compare=False)
     _hash: int = field(init=False, compare=False, repr=False)
-    leaves: tuple[Leaf, ...] = field(init=False, compare=False, repr=False)
     patterns: tuple[TriplePattern, ...] = field(init=False, compare=False, repr=False)
     ordinals: frozenset[int] = field(init=False, compare=False, repr=False)
     variables: frozenset[str] = field(init=False, compare=False, repr=False)
@@ -63,7 +62,6 @@ class Join:
                 edges.extend(edges_between(ltp, rtp))
         setattr_(self, "edges", tuple(edges))
         setattr_(self, "_hash", hash((left, right)))
-        setattr_(self, "leaves", (*leaves(left), *leaves(right)))
         setattr_(self, "patterns", left.patterns + right.patterns)
         setattr_(self, "ordinals", left.ordinals | right.ordinals)
         setattr_(self, "variables", left.variables | right.variables)
@@ -79,7 +77,7 @@ def leaves(expr: Expression) -> list[Leaf]:
     """Leaves in left-to-right order."""
     if isinstance(expr, Leaf):
         return [expr]
-    return list(expr.leaves)
+    return leaves(expr.left) + leaves(expr.right)
 
 
 def ordinals(expr: Expression) -> frozenset[int]:

@@ -32,7 +32,7 @@ from itertools import compress, repeat
 from operator import itemgetter, mul
 from typing import Callable, Hashable, Iterable, Optional, Sequence
 
-from .estimators.base import CardinalityEstimator, PlanEstimates
+from .estimators.base import CardinalityEstimator
 from .expr import Expression, Leaf, join_nodes, leaves, ordinals
 from .query import TriplePattern, Var
 from .store import TripleStore, match
@@ -247,13 +247,12 @@ def trace_plan(
     Triple-pattern entries are indexed by pattern ordinal, join entries by
     bottom-up join order. Real counts never apply DISTINCT projection.
     """
-    estimates: PlanEstimates = estimator.evaluate_plan(plan)
+    tp_est, join_est, fallback_used = estimator.evaluate_plan(plan)
 
     # Counting the joins first caches every leaf's total, so the leaf counts are lookups.
     join_real = tuple(float(oracle.cardinality(node)) for node in join_nodes(plan))
     tp_leaves = sorted(leaves(plan), key=lambda leaf: leaf.pattern.ordinal)
     tp_real = tuple(float(oracle.cardinality(leaf)) for leaf in tp_leaves)
-    tp_est = tuple(estimates.tp_est[leaf.pattern.ordinal] for leaf in tp_leaves)
     return CardinalityTrace(
         query_id=query_id,
         engine=estimator.name,
@@ -261,6 +260,6 @@ def trace_plan(
         tp_real=tp_real,
         tp_est=tp_est,
         join_real=join_real,
-        join_est=tuple(estimates.join_est),
-        fallback_used=estimates.fallback_used,
+        join_est=join_est,
+        fallback_used=fallback_used,
     )

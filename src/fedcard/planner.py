@@ -14,8 +14,7 @@ import enum
 from typing import Callable
 
 from .estimators.base import CardinalityEstimator
-from .expr import Expression, Join, Leaf, is_left_deep, join_nodes, leaves
-from .oracle import OracleBlowupError
+from .expr import Expression, Join, Leaf, is_left_deep, join_nodes
 from .query import BasicGraphPattern
 
 CardFn = Callable[[Expression], float]
@@ -72,31 +71,27 @@ def classify_plan(plan: Expression, real_card: CardFn) -> PlanClass:
     plan is optimal iff at every step the chosen join's real cardinality
     ties the minimum over the joins executable at that step (joins of the
     current left side with a connected remaining pattern; cartesian
-    candidates only once no connected pattern remains). Oracle failures
-    classify as Failed.
+    candidates only once no connected pattern remains). Each step's chosen
+    join is the plan's own node; only its rivals are built. An error from
+    ``real_card`` (an oracle blow-up) propagates to the caller.
     """
     if not is_left_deep(plan):
         raise ValueError("classification expects a left-deep plan")
-    if len(join_nodes(plan)) <= 1:
+    steps = join_nodes(plan)
+    if len(steps) <= 1:
         return PlanClass.ONLY_PLAN
 
-    chain = leaves(plan)
-    try:
-        left: Expression = chain[0]
-        remaining = chain[1:]
-        for chosen in chain[1:]:
-            candidates = _executable(left, remaining)
-            if chosen not in candidates:
-                return PlanClass.SUB_OPTIMAL
-            step = Join(left, chosen)
-            chosen_real = real_card(step)
-            others = [real_card(Join(left, leaf)) for leaf in candidates if leaf != chosen]
-            if chosen_real > min(others, default=chosen_real):
-                return PlanClass.SUB_OPTIMAL
-            left = step
-            remaining.remove(chosen)
-    except OracleBlowupError:
-        return PlanClass.FAILED
+    remaining = [step.right for step in steps]
+    for step in steps:
+        left, chosen = step.left, step.right
+        candidates = _executable(left, remaining)
+        if chosen not in candidates:
+            return PlanClass.SUB_OPTIMAL
+        chosen_real = real_card(step)
+        others = [real_card(Join(left, leaf)) for leaf in candidates if leaf != chosen]
+        if chosen_real > min(others, default=chosen_real):
+            return PlanClass.SUB_OPTIMAL
+        remaining.remove(chosen)
     return PlanClass.OPTIMAL
 
 

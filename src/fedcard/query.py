@@ -41,9 +41,9 @@ _UNSUPPORTED_CLAUSES = (
 )
 
 
-# Var, TriplePattern and JoinEdge (and expr's Leaf and Join) are memo keys on
-# every per-row path, so each caches its hash, and what else is read per row,
-# in a field that neither compares nor prints. The hash equals the one the
+# Var and TriplePattern (and expr's Leaf and Join) are memo keys on every
+# per-row path, so each caches its hash, and what else is read per row, in a
+# field that neither compares nor prints. The hash equals the one the
 # dataclass would compute.
 
 
@@ -147,11 +147,6 @@ class JoinKind(enum.Enum):
     OBJECT_OBJECT = "oo"
     PREDICATE_INVOLVED = "pred"
 
-    # Members are singletons, so identity hashing is consistent with
-    # equality; Enum.__hash__ hashes the member name in Python code, on
-    # every JoinEdge hash.
-    __hash__ = object.__hash__
-
 
 @dataclass(frozen=True, slots=True)
 class JoinEdge:
@@ -170,14 +165,6 @@ class JoinEdge:
     kind: JoinKind
     left_pos: str
     right_pos: str
-    _hash: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        spec = (self.left, self.right, self.variable, self.kind, self.left_pos, self.right_pos)
-        object.__setattr__(self, "_hash", hash(spec))
-
-    __hash__ = cached_hash
-    __reduce__ = rebuild
 
 
 class QueryParseError(ValueError):

@@ -290,37 +290,37 @@ def test_odyssey_link_predicate_must_be_in_star(engines):
 def test_odyssey_plan_on_star_uses_charsets(toy1, toy1_summaries):
     od = make_estimator("odyssey", toy1_summaries, [toy1])
     plan = Join(Leaf(tp("?s", "p", "?a", 0)), Leaf(tp("?s", "q", "?b", 1)))
-    est = od.evaluate_plan(plan)
-    assert est.tp_est == {0: 3.0, 1: 2.0}
-    assert est.join_est == [1.0]
-    assert not est.fallback_used
+    tp_est, join_est, fallback_used = od.evaluate_plan(plan)
+    assert tp_est == (3.0, 2.0)
+    assert join_est == (1.0,)
+    assert not fallback_used
 
 
 def test_odyssey_path_uses_charpairs(toy2, toy2_summaries):
     od = make_estimator("odyssey", toy2_summaries, [toy2])
     plan = Join(Leaf(tp("?x", "q", "?y", 0)), Leaf(tp("?y", "p", "?z", 1)))
-    est = od.evaluate_plan(plan)
-    assert est.join_est == [pytest.approx(3.0)]
-    assert not est.fallback_used
+    _, join_est, fallback_used = od.evaluate_plan(plan)
+    assert join_est == (pytest.approx(3.0),)
+    assert not fallback_used
 
 
 def test_odyssey_fallback_flagged(toy1, toy1_summaries):
     od = make_estimator("odyssey", toy1_summaries, [toy1])
     # object-object join is neither a star nor a linked star
     plan = Join(Leaf(tp("?a", "p", "?x", 0)), Leaf(tp("?b", "q", "?x", 1)))
-    est = od.evaluate_plan(plan)
-    assert est.fallback_used
+    tp_est, join_est, fallback_used = od.evaluate_plan(plan)
+    assert fallback_used
     sg = make_estimator("semagrow", toy1_summaries, [toy1])
-    expected = sg.join_card(plan, est.tp_est[0], est.tp_est[1])
-    assert est.join_est == [pytest.approx(expected)]
+    expected = sg.join_card(plan, tp_est[0], tp_est[1])
+    assert join_est == (pytest.approx(expected),)
 
 
 def test_odyssey_ground_subject_leaf_falls_back(toy1, toy1_summaries):
     od = make_estimator("odyssey", toy1_summaries, [toy1])
-    est = od.evaluate_plan(Leaf(tp("s1", "p", "?y", 0)))
-    assert est.fallback_used
+    tp_est, _, fallback_used = od.evaluate_plan(Leaf(tp("s1", "p", "?y", 0)))
+    assert fallback_used
     lhd = make_estimator("lhd", toy1_summaries, [toy1])
-    assert est.tp_est[0] == lhd.tp_card(tp("s1", "p", "?y", 0))
+    assert tp_est[0] == lhd.tp_card(tp("s1", "p", "?y", 0))
 
 
 # ------------------------------------------------------------ plan estimation
@@ -366,21 +366,20 @@ def test_estimate_plan_with_injected_stub():
         {0: 90, 1: 250, 2: 300},
         {frozenset({0, 1}): 65, frozenset({0, 1, 2}): 150},
     )
-    est = stub.evaluate_plan(plan)
-    vector = [est.tp_est[i] for i in range(3)] + est.join_est
-    assert vector == [90.0, 250.0, 300.0, 65.0, 150.0]
+    tp_est, join_est, _ = stub.evaluate_plan(plan)
+    assert tp_est + join_est == (90.0, 250.0, 300.0, 65.0, 150.0)
 
 
 def test_estimate_plan_single_leaf(engines):
-    est = engines["costfed"].evaluate_plan(Leaf(tp("?x", "p", "?y", 0)))
-    assert est.tp_est == {0: 3.0}
-    assert est.join_est == []
+    tp_est, join_est, _ = engines["costfed"].evaluate_plan(Leaf(tp("?x", "p", "?y", 0)))
+    assert tp_est == (3.0,)
+    assert join_est == ()
 
 
 def test_semagrow_two_leaf_plan(engines):
     plan = Join(Leaf(tp("?x", "p", "?y", 0)), Leaf(tp("?x", "q", "?z", 1)))
-    est = engines["semagrow"].evaluate_plan(plan)
-    assert [est.tp_est[0], est.tp_est[1], est.join_est[0]] == [3.0, 2.0, 3.0]
+    tp_est, join_est, _ = engines["semagrow"].evaluate_plan(plan)
+    assert tp_est + join_est == (3.0, 2.0, 3.0)
 
 
 def test_estimates_finite_and_nonnegative_random(toy_ab, toy_ab_summaries):
@@ -403,8 +402,8 @@ def test_estimates_finite_and_nonnegative_random(toy_ab, toy_ab_summaries):
         for t in tps[1:]:
             plan = Join(plan, Leaf(t))
         for estimator in estimators:
-            est = estimator.evaluate_plan(plan)
-            for value in list(est.tp_est.values()) + est.join_est:
+            tp_est, join_est, _ = estimator.evaluate_plan(plan)
+            for value in tp_est + join_est:
                 assert math.isfinite(value) and value >= 0.0
 
 

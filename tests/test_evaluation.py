@@ -78,6 +78,13 @@ def test_invalid_leaf_estimate_gives_failed_row_on_every_run(toy1, toy1_summarie
     assert rows[0] == rows[1]
 
 
+def test_expression_card_checks_a_leaf(toy1, toy1_summaries):
+    """Every node is checked where it is estimated, a leaf as much as a join."""
+    estimator = NanEstimator(toy1_summaries, [toy1])
+    with pytest.raises(EstimationError, match="invalid cardinality nan"):
+        estimator.expression_card(Leaf(parse_query(QUERY).patterns[0]))
+
+
 def test_raising_estimate_is_not_memoised(toy1, toy1_summaries):
     estimator = RaisingEstimator(toy1_summaries, [toy1], EstimationError("bad estimate"))
     plan = Leaf(parse_query(QUERY).patterns[0])
@@ -104,6 +111,24 @@ def test_cap_applies_to_a_one_pattern_query(toy1, toy1_summaries, cap, status):
         else:
             assert row.plan_class is PlanClass.ONLY_PLAN
             assert row.trace.tp_real == (3.0,)
+
+
+def test_blowup_in_classification_keeps_the_row_error(toy2, toy2_summaries):
+    """The trace's nodes fit under the cap of 4, but a rival join that
+    classification counts holds 6 bindings: the row says so, and its CSV
+    row is the blow-up row it always was."""
+    bgp = parse_query(
+        f"SELECT * WHERE {{ ?a <{TOY}p> ?b . ?a <{TOY}p> ?c . ?b <{TOY}p> ?a }}"
+    )
+    estimator = LhdEstimator(toy2_summaries, [toy2])
+    row = evaluate_query("q", bgp, estimator, Oracle([toy2], cap=4))
+    assert row.status == STATUS_BLOWUP
+    assert row.plan_class is PlanClass.FAILED
+    assert row.num_joins == 2
+    assert row.error == "oracle blow-up: intermediate result of 6 bindings exceeds cap 4"
+    assert row.csv_fields() == [
+        "q", "lhd", "", "", "", "", "", "", "Failed", "3", "2", "3", "false", "oracle_blowup"
+    ]
 
 
 def test_rows_keep_plan_and_trace_counted_by_the_query_oracle():

@@ -103,7 +103,8 @@ def test_only_plan_decided_before_optimality(toy1):
 def test_classify_failed_on_oracle_blowup(fig_bgp, fig_store):
     oracle = Oracle([fig_store], cap=10)
     plan = greedy_left_deep_plan(fig_bgp, injected_card({0: 90, 1: 250, 2: 300}))
-    assert classify_plan(plan, oracle.cardinality) is PlanClass.FAILED
+    with pytest.raises(OracleBlowupError):
+        classify_plan(plan, oracle.cardinality)
 
 
 def test_classify_rejects_bushy_plans(fig_bgp):
