@@ -21,6 +21,16 @@ of a trace, leaf or join, is an ``Oracle.cardinality`` lookup, and a
 configurable cap on every node's bag size (its total count, not its map
 size; a one-pattern query's leaf included) turns runaway joins into a hard
 error instead of a silently truncated (and therefore wrong) count.
+
+A leaf map with kept variables is counted once per federation, not once per
+query: every Oracle over the same ordered store tuple shares one memo of leaf
+maps, keyed by the pattern's shape (its ``slot_key`` with each variable
+replaced by the first position it occupies, so ``?s p ?o`` and ``?x p ?y``
+share a shape and ``?x p ?x`` does not) and the positions of the kept
+variables in sorted-name order. That memo lives on the federation's first
+store, next to its match memo, so it lives exactly as long as the stores.
+Join maps and every total stay per Oracle (``evaluate_queries`` makes one
+per query).
 """
 
 from __future__ import annotations
@@ -34,7 +44,7 @@ from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .estimators.base import CardinalityEstimator
 from .expr import Expression, Leaf, join_nodes, leaves, ordinals
-from .query import TriplePattern, Var
+from .query import TriplePattern
 from .store import TripleStore, match
 
 DEFAULT_ORACLE_CAP = 10_000_000
@@ -119,6 +129,13 @@ class Oracle:
     evaluated through it is count-only: a leaf takes its total from the
     match lengths without counting rows, and a join multiplies its
     children's per-key counts without building any nested map.
+
+    A leaf map with kept variables comes from the federation's shared leaf
+    memo (see the module docstring): every Oracle over the same ordered
+    stores, in any query, engine or pass, reads the map counted first. An
+    Oracle over another order or another subset of the stores has its own
+    memo. The cap is checked on the match lengths before the memo is read,
+    so a smaller cap still raises on a memo hit.
     """
 
     def __init__(self, stores: Sequence[TripleStore], cap: Optional[int] = None):
@@ -126,6 +143,13 @@ class Oracle:
         self.cap = default_cap() if cap is None else cap
         self._maps: dict[tuple[frozenset[int], frozenset[str]], Counts] = {}
         self._totals: dict[frozenset[int], int] = {}
+        # Leaf maps by (shape, kept positions), shared by every Oracle over
+        # the same ordered stores: kept on the first store under the others,
+        # so that no store refers to itself and one federation's stores are
+        # freed as soon as nothing else holds them.
+        self._leaf_maps: dict[tuple[tuple, tuple[int, ...]], Counts] = (
+            self.stores[0]._leaf_maps.setdefault(self.stores[1:], {}) if self.stores else {}
+        )
 
     def bindings(self, expr: Expression, keep: frozenset[str] = frozenset()) -> Counts:
         """The bag of ``expr`` projected onto ``sorted(keep)``, with multiplicities.
@@ -136,6 +160,9 @@ class Oracle:
         order when two or more are, and ``()`` when none is. Raises
         OracleBlowupError, before building the map, when the bag of this
         node or of any node below it holds more than ``cap`` bindings.
+
+        The map is read-only: repeated calls return the same object, and a
+        leaf's map is shared with every Oracle over the same stores.
         """
         node = ordinals(expr)
         cached = self._maps.get((node, keep))
@@ -150,14 +177,21 @@ class Oracle:
             if total > self.cap:
                 raise OracleBlowupError(total, self.cap)
             if keep:
-                position_of: dict[str, int] = {}  # variable -> the first triple position it occupies
-                for position, slot in enumerate((tp.subject, tp.predicate, tp.object)):
-                    if isinstance(slot, Var):
-                        position_of.setdefault(slot.name, position)
-                key_of = itemgetter(*(position_of[v] for v in names))
-                result: Counts = Counter()
-                for rows in parts:
-                    result.update(map(key_of, rows))
+                # The shape is the slot key with each variable replaced by the
+                # first position it occupies: it fixes the rows, and the kept
+                # positions fix the key layout, so together they fix the map.
+                position_of: dict[str, int] = {}  # "?name" -> its first position
+                shape = tuple(
+                    position_of.setdefault(token, position) if token[0] == "?" else token
+                    for position, token in enumerate(tp.slot_key)
+                )
+                kept = tuple(position_of["?" + v] for v in names)
+                result = self._leaf_maps.get((shape, kept))
+                if result is None:
+                    key_of = itemgetter(*kept)
+                    result = self._leaf_maps[(shape, kept)] = Counter()
+                    for rows in parts:
+                        result.update(map(key_of, rows))
             else:
                 result = {(): total} if total else {}
         else:

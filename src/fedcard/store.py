@@ -12,7 +12,9 @@ Terms are decoded only at the edges: ``triples`` decodes every row, and
 
 Matching is exact: the length of ``match`` is the real cardinality of a
 pattern in this source, and each distinct pattern is scanned once per
-store.
+store. A store also keeps the oracle's leaf maps of every federation whose
+first store it is (``oracle.Oracle``), so that each leaf shape is counted
+once per federation and its counts live as long as the stores.
 
 A store file (format 2) is one JSON document: the store's own canonical
 term tokens in first-seen order and a flat list of indexes into them,
@@ -104,6 +106,10 @@ class TripleStore:
         # Predicate id -> its rows in store order, predicates in first-seen order.
         self.by_predicate: dict[int, list[IdRow]] = dict(by_predicate)
         self._match_memo: dict[tuple[str, str, str], tuple[IdRow, ...]] = {}
+        # The oracle's leaf maps of each federation whose first store this
+        # is, by that federation's other stores in order (``oracle.Oracle``):
+        # they live as long as the stores, as the matches they count do.
+        self._leaf_maps: dict[tuple[TripleStore, ...], dict] = {}
 
     @property
     def triples(self) -> tuple[Triple, ...]:

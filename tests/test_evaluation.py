@@ -66,7 +66,8 @@ def test_program_error_is_not_turned_into_a_row(toy1, toy1_summaries):
 def test_invalid_leaf_estimate_gives_failed_row_on_every_run(toy1, toy1_summaries, query):
     """A NaN leaf fails where a plan walk first checks it: in the trace for one
     pattern (after planning, so num_joins is the planned 0 joins), in the
-    planner's first join estimate for two. The memoised NaN fails again."""
+    planner's leaf estimates for two. An invalid estimate is never memoised,
+    so the second row fails the same way."""
     estimator = NanEstimator(toy1_summaries, [toy1])
     bgp = parse_query(query)
     rows = [evaluate_query("q", bgp, estimator, Oracle([toy1])) for _ in range(2)]

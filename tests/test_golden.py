@@ -71,6 +71,21 @@ def test_edge_results_csv_matches_golden():
     assert rows_to_csv(rows) == expected
 
 
+def test_mixed_then_bench_only_calls_over_one_federation_match_golden():
+    """Queries of every shape share the oracle's leaf memo of one federation:
+    one call over the edge and bench queries gives both golden row sets, and
+    a later bench-only call over the same stores still gives its own."""
+    stores = bench_stores()
+    bench = (GOLDEN / "bench_results.csv").read_text(encoding="utf-8")
+    edge = (GOLDEN / "edge_results.csv").read_text(encoding="utf-8")
+    queries = {**edge_queries(), **bench_queries()}
+    assert len(queries) == len(edge_queries()) + len(bench_queries())
+    rows = evaluate_queries(queries, ENGINE_NAMES, stores)
+    header, _, bench_rows = bench.partition("\n")
+    assert rows_to_csv(rows) == header + "\n" + edge.partition("\n")[2] + bench_rows
+    assert rows_to_csv(evaluate_queries(bench_queries(), ENGINE_NAMES, stores)) == bench
+
+
 def test_edge_queries_plan_every_edge_shape(monkeypatch):
     general = []  # the oracle groups both sides only when each keeps a variable of its own
 

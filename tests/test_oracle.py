@@ -1,5 +1,7 @@
+import gc
 import random
 import tracemalloc
+import weakref
 from collections import Counter
 from itertools import combinations
 from math import prod
@@ -22,7 +24,7 @@ from fedcard.oracle import (
     true_tp_card,
 )
 from fedcard.query import TriplePattern, Var, parse_query
-from fedcard.store import build_store
+from fedcard.store import build_store, match
 
 
 def nested_loop_rows(expr, stores) -> list[dict]:
@@ -456,3 +458,86 @@ def test_cartesian_query_counts_without_materialising():
         tracemalloc.stop()
     assert expected > 10**8
     assert peak < 20 * 2**20
+
+
+def _memo_federation():
+    """Two sources of ``p`` triples: reflexive ones, two ground objects, and a
+    triple held by both sources, so that the bag counts it twice."""
+
+    def store(name, rows):
+        return build_store(name, [Triple(*map(toy_iri, row)) for row in rows])
+
+    return [
+        store("M1", [("s1", "p", "a"), ("s2", "p", "a"), ("s1", "p", "b"), ("s3", "p", "s3")]),
+        store("M2", [("s2", "p", "b"), ("s4", "p", "s4"), ("s1", "p", "a"), ("a", "p", "s1")]),
+    ]
+
+
+def _leaf_reference(pattern, keep, stores) -> Counter:
+    """The leaf's projected bag, counted from the nested-loop bindings."""
+    names = sorted(keep)
+    return Counter(tuple(row[v] for v in names) for row in nested_loop_rows(Leaf(pattern), stores))
+
+
+def test_leaf_maps_are_shared_per_federation():
+    stores = _memo_federation()
+    first = Oracle(stores).bindings(Leaf(tp("?s", "p", "?o", 0)), frozenset({"s"}))
+    # Another query's pattern of the same shape, under other names and ordinal.
+    second = Oracle(stores).bindings(Leaf(tp("?x", "p", "?y", 2)), frozenset({"x"}))
+    assert second is first
+    pattern = tp("?s", "p", "?o")
+    assert first == Counter(row[0] for store in stores for row in match(store, pattern))
+    # Another order or a subset of the stores is another federation.
+    for other in (stores[::-1], stores[:1]):
+        counts = Oracle(other).bindings(Leaf(tp("?s", "p", "?o", 0)), frozenset({"s"}))
+        assert counts is not first
+        assert decode_keys(counts) == _leaf_reference(pattern, {"s"}, other)
+    assert Oracle(stores[:1]).bindings(Leaf(pattern), frozenset({"s"})) != first
+
+
+@pytest.mark.parametrize(
+    "first, second, keep",
+    [
+        (("?x", "p", "?x"), ("?x", "p", "?y"), {"x"}),
+        (("?s", "p", "a"), ("?s", "p", "b"), {"s"}),
+        (("?a", "p", "?b"), ("?b", "p", "?a"), {"a", "b"}),
+    ],
+    ids=["repeated-variable", "ground-object", "swapped-names"],
+)
+def test_leaf_shapes_that_differ_get_their_own_maps(first, second, keep):
+    stores = _memo_federation()
+    keep = frozenset(keep)
+    counts = []
+    for slots in (first, second, first):  # the memo is warm from the first ask on
+        pattern = tp(*slots)
+        counts.append(decode_keys(Oracle(stores).bindings(Leaf(pattern), keep)))
+        assert counts[-1] == _leaf_reference(pattern, keep, stores)
+    assert counts[0] != counts[1]
+
+
+def test_cap_applies_on_a_leaf_memo_hit():
+    stores = _memo_federation()
+    leaf, keep = Leaf(tp("?s", "p", "?o")), frozenset({"s"})
+    total = sum(len(match(store, leaf.pattern)) for store in stores)
+    assert sum(Oracle(stores, cap=10**6).bindings(leaf, keep).values()) == total
+    with pytest.raises(OracleBlowupError) as err:
+        Oracle(stores, cap=total - 1).bindings(leaf, keep)
+    assert (err.value.size, err.value.cap) == (total, total - 1)
+
+
+def test_leaf_maps_live_as_long_as_their_stores():
+    leaf, keep = Leaf(tp("?s", "p", "?o")), frozenset({"s"})
+    stores = _memo_federation()
+    alive = weakref.ref(stores[0])
+    oracle = Oracle(stores)
+    oracle.bindings(leaf, keep)
+    del stores, oracle
+    assert alive() is None  # no store refers to itself, so no collection is needed
+    # Two federations in opposite orders refer to each other's first store.
+    stores = _memo_federation()
+    alive = weakref.ref(stores[0])
+    for federation in (stores, stores[::-1]):
+        Oracle(federation).bindings(leaf, keep)
+    del stores, federation
+    gc.collect()
+    assert alive() is None
