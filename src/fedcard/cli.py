@@ -14,7 +14,7 @@ import csv
 import io
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, NoReturn
+from typing import TYPE_CHECKING, NoReturn, Sequence
 
 import click
 
@@ -109,17 +109,27 @@ def summarize(stores_dir: str, kind: str, out_dir: str) -> None:
         click.echo(f"wrote {len(written)} {k} summary file(s) to {out_dir}")
 
 
+def _parse_names(spec: str, valid: Sequence[str], what: str) -> list[str]:
+    """Each name of the comma-separated ``--{what}s`` list once, in first-seen order.
+
+    Names match ``valid`` case-insensitively; an unknown name or an empty list exits 2.
+    """
+    spelled = {name.lower(): name for name in valid}
+    names = [item.strip().lower() for item in spec.split(",") if item.strip()]
+    for name in names:
+        if name not in spelled:
+            _fail(f"unknown {what} {name!r}; valid {what}s: {', '.join(valid)}", 2)
+    if not names:
+        _fail(f"--{what}s names no {what}; valid {what}s: {', '.join(valid)}", 2)
+    return [spelled[name] for name in dict.fromkeys(names)]
+
+
 def _parse_engines(spec: str) -> list[str]:
     from .estimators import ENGINE_NAMES
 
     if spec.strip().lower() == "all":
         return list(ENGINE_NAMES)
-    engines = [name.strip().lower() for name in spec.split(",") if name.strip()]
-    for name in engines:
-        if name not in ENGINE_NAMES:
-            valid = ", ".join(ENGINE_NAMES)
-            _fail(f"unknown engine {name!r}; valid engines: {valid}", 2)
-    return engines
+    return _parse_names(spec, ENGINE_NAMES, "engine")
 
 
 @main.command()
@@ -214,11 +224,7 @@ def correlate(results_path, runtimes_path, features, method, common_only, out_pa
     from .results import read_results_csv, read_runtimes_csv
     from .stats import correlate_results
 
-    feature_list = [f.strip() for f in features.split(",") if f.strip()]
-    for feature in feature_list:
-        if feature not in METRIC_FEATURES:
-            valid = ", ".join(METRIC_FEATURES)
-            _fail(f"unknown feature {feature!r}; valid features: {valid}", 2)
+    feature_list = _parse_names(features, METRIC_FEATURES, "feature")
     if out_path:
         _make_dir(Path(out_path).parent)
     try:

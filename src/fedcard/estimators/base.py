@@ -79,9 +79,9 @@ class CardinalityEstimator:
     finite real before anything reads it; an invalid one raises
     EstimationError. Rounding is left to presentation. The summaries and
     stores are fixed once built. Each instance memoises two pure functions
-    of them: every distinct plan node's estimate and every distinct
-    pattern's source selection are computed once per instance. Both memos
-    are written idempotently (a racing miss stores an equal value), so an
+    of them: every distinct plan node's estimate and every distinct pattern
+    shape's source selection are computed once per instance. Both memos are
+    written idempotently (a racing miss stores an equal value), so an
     instance is safe to share, like a store's match memo.
     """
 
@@ -91,17 +91,17 @@ class CardinalityEstimator:
         self.summaries = summaries
         self.stores = tuple(stores)
         self._node_estimates: dict[Expression, tuple[float, bool]] = {}
-        self._selected_sources: dict[tuple[str, str, str], frozenset[str]] = {}
+        self._selected_sources: dict[tuple[int | str, ...], frozenset[str]] = {}
 
     @property
     def name(self) -> str:
         return self.engine.value
 
     def sources_for(self, tp: TriplePattern) -> frozenset[str]:
-        """``select_sources`` memoised by the pattern's ``slot_key``, not its ordinal."""
-        sources = self._selected_sources.get(tp.slot_key)
+        """``select_sources`` memoised by ``tp.shape``, which fixes the rows matched."""
+        sources = self._selected_sources.get(tp.shape)
         if sources is None:
-            sources = self._selected_sources[tp.slot_key] = select_sources(tp, self.stores)
+            sources = self._selected_sources[tp.shape] = select_sources(tp, self.stores)
         return sources
 
     def distinct_values(

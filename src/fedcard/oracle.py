@@ -24,13 +24,12 @@ error instead of a silently truncated (and therefore wrong) count.
 
 A leaf map with kept variables is counted once per federation, not once per
 query: every Oracle over the same ordered store tuple shares one memo of leaf
-maps, keyed by the pattern's shape (its ``slot_key`` with each variable
-replaced by the first position it occupies, so ``?s p ?o`` and ``?x p ?y``
-share a shape and ``?x p ?x`` does not) and the positions of the kept
-variables in sorted-name order. That memo lives on the federation's first
-store, next to its match memo, so it lives exactly as long as the stores.
-Join maps and every total stay per Oracle (``evaluate_queries`` makes one
-per query).
+maps, keyed by the pattern's ``shape`` (which also keys its match memo:
+``?s p ?o`` and ``?x p ?y`` share a shape and ``?x p ?x`` does not) and the
+first positions of the kept variables in sorted-name order. That memo lives
+on the federation's first store, next to its match memo, so it lives exactly
+as long as the stores. Join maps and count-only maps stay per Oracle
+(``evaluate_queries`` makes one per query).
 """
 
 from __future__ import annotations
@@ -122,17 +121,17 @@ class Oracle:
 
     Natural joins are associative and commutative under bag semantics, so
     a node's bag depends only on the set of leaf ordinals it covers. Maps
-    are keyed by term ids and cached by that set and the projection;
-    each node's total bag size is cached by the set alone, so
-    ``cardinality`` of a node that has been evaluated under any projection
-    is a lookup. ``cardinality`` asks for no variables, so a node first
-    evaluated through it is count-only: a leaf takes its total from the
-    match lengths without counting rows, and a join multiplies its
-    children's per-key counts without building any nested map.
+    are keyed by term ids and cached by that set and the projection.
+    ``cardinality`` asks for no variables, so it reads the node's count-only
+    map, ``{(): n}`` or ``{}``, cached like any other: a leaf takes its
+    total from the match lengths without counting rows, and a join
+    multiplies its children's per-key counts without building any nested
+    map.
 
     A leaf map with kept variables comes from the federation's shared leaf
-    memo (see the module docstring): every Oracle over the same ordered
-    stores, in any query, engine or pass, reads the map counted first. An
+    memo (see the module docstring), keyed by the pattern's shape: every
+    Oracle over the same ordered stores, in any query, engine or pass, reads
+    the map counted first for that shape and kept positions. An
     Oracle over another order or another subset of the stores has its own
     memo. The cap is checked on the match lengths before the memo is read,
     so a smaller cap still raises on a memo hit.
@@ -142,7 +141,6 @@ class Oracle:
         self.stores = tuple(stores)
         self.cap = default_cap() if cap is None else cap
         self._maps: dict[tuple[frozenset[int], frozenset[str]], Counts] = {}
-        self._totals: dict[frozenset[int], int] = {}
         # Leaf maps by (shape, kept positions), shared by every Oracle over
         # the same ordered stores: kept on the first store under the others,
         # so that no store refers to itself and one federation's stores are
@@ -162,7 +160,8 @@ class Oracle:
         node or of any node below it holds more than ``cap`` bindings.
 
         The map is read-only: repeated calls return the same object, and a
-        leaf's map is shared with every Oracle over the same stores.
+        leaf's map is shared with every Oracle over the same stores and with
+        every pattern of the same shape, whatever its variables are named.
         """
         node = ordinals(expr)
         cached = self._maps.get((node, keep))
@@ -177,19 +176,13 @@ class Oracle:
             if total > self.cap:
                 raise OracleBlowupError(total, self.cap)
             if keep:
-                # The shape is the slot key with each variable replaced by the
-                # first position it occupies: it fixes the rows, and the kept
+                # The shape fixes the rows, and the kept variables' first
                 # positions fix the key layout, so together they fix the map.
-                position_of: dict[str, int] = {}  # "?name" -> its first position
-                shape = tuple(
-                    position_of.setdefault(token, position) if token[0] == "?" else token
-                    for position, token in enumerate(tp.slot_key)
-                )
-                kept = tuple(position_of["?" + v] for v in names)
-                result = self._leaf_maps.get((shape, kept))
+                kept = tuple("spo".index(tp.var_positions(v)[0]) for v in names)
+                result = self._leaf_maps.get((tp.shape, kept))
                 if result is None:
                     key_of = itemgetter(*kept)
-                    result = self._leaf_maps[(shape, kept)] = Counter()
+                    result = self._leaf_maps[(tp.shape, kept)] = Counter()
                     for rows in parts:
                         result.update(map(key_of, rows))
             else:
@@ -246,15 +239,15 @@ class Oracle:
                         for rpart, rn in rg.items():
                             key = arrange(lpart + rpart)
                             result[key] = result.get(key, 0) + ln * rn
-        self._totals[node] = total
         self._maps[(node, keep)] = result
         return result
 
     def cardinality(self, expr: Expression) -> int:
-        node = ordinals(expr)
-        if node not in self._totals:
-            self.bindings(expr)
-        return self._totals[node]
+        """The exact bag size of ``expr``: the sum of its count-only map.
+
+        Raises OracleBlowupError as ``bindings`` does.
+        """
+        return sum(self.bindings(expr).values())
 
 
 @dataclass(slots=True)
@@ -283,7 +276,6 @@ def trace_plan(
     """
     tp_est, join_est, fallback_used = estimator.evaluate_plan(plan)
 
-    # Counting the joins first caches every leaf's total, so the leaf counts are lookups.
     join_real = tuple(float(oracle.cardinality(node)) for node in join_nodes(plan))
     tp_leaves = sorted(leaves(plan), key=lambda leaf: leaf.pattern.ordinal)
     tp_real = tuple(float(oracle.cardinality(leaf)) for leaf in tp_leaves)

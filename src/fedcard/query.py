@@ -82,10 +82,11 @@ class TriplePattern:
     """One triple pattern; ``ordinal`` is its 0-based position in the query.
 
     ``var_names`` is the frozenset of its variable names, and
-    ``var_positions`` the positions each one occupies. ``slot_key`` names
-    its slots, not its ordinal: the canonical N-Triples token of each bound
-    slot and ``?name`` of each variable, so ``?x p ?x`` and ``?x p ?y`` get
-    different keys; the store and estimator memos are keyed by it.
+    ``var_positions`` the positions each one occupies. ``shape`` fixes the
+    rows it matches: each bound slot's canonical N-Triples token and each
+    variable's first index (0, 1 or 2), so ``?s p ?o`` and ``?x p ?y`` share
+    ``(0, "<p>", 2)`` and ``?x p ?x`` is ``(0, "<p>", 0)``. Every per-pattern
+    memo is keyed by it, so no other module reads variable names.
     """
 
     subject: Slot
@@ -95,7 +96,7 @@ class TriplePattern:
     _hash: int = field(init=False, compare=False, repr=False)
     var_names: frozenset[str] = field(init=False, compare=False, repr=False)
     _positions: dict[str, tuple[str, ...]] = field(init=False, compare=False, repr=False)
-    slot_key: tuple[str, str, str] = field(init=False, compare=False, repr=False)
+    shape: tuple[int | str, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         spo = (self.subject, self.predicate, self.object)
@@ -107,8 +108,8 @@ class TriplePattern:
                 positions[slot.name] = positions.get(slot.name, ()) + (pos,)
         setattr_(self, "_positions", positions)
         setattr_(self, "var_names", frozenset(positions))
-        key = tuple(f"?{s.name}" if isinstance(s, Var) else format_term(s) for s in spo)
-        setattr_(self, "slot_key", key)
+        shape = tuple(spo.index(s) if isinstance(s, Var) else format_term(s) for s in spo)
+        setattr_(self, "shape", shape)
 
     __hash__ = cached_hash
     __reduce__ = rebuild

@@ -11,10 +11,11 @@ Terms are decoded only at the edges: ``triples`` decodes every row, and
 ``match`` returns id rows, which ``term_of`` decodes.
 
 Matching is exact: the length of ``match`` is the real cardinality of a
-pattern in this source, and each distinct pattern is scanned once per
-store. A store also keeps the oracle's leaf maps of every federation whose
-first store it is (``oracle.Oracle``), so that each leaf shape is counted
-once per federation and its counts live as long as the stores.
+pattern in this source, and each distinct shape (``TriplePattern.shape``,
+blind to variable names) is scanned once per store. A store also keeps the
+oracle's leaf maps of every federation whose first store it is
+(``oracle.Oracle``), so that each leaf shape is counted once per federation
+and its counts live as long as the stores.
 
 A store file (format 2) is one JSON document: the store's own canonical
 term tokens in first-seen order and a flat list of indexes into them,
@@ -105,7 +106,7 @@ class TripleStore:
             by_predicate[row[1]].append(row)
         # Predicate id -> its rows in store order, predicates in first-seen order.
         self.by_predicate: dict[int, list[IdRow]] = dict(by_predicate)
-        self._match_memo: dict[tuple[str, str, str], tuple[IdRow, ...]] = {}
+        self._match_memo: dict[tuple[int | str, ...], tuple[IdRow, ...]] = {}
         # The oracle's leaf maps of each federation whose first store this
         # is, by that federation's other stores in order (``oracle.Oracle``):
         # they live as long as the stores, as the matches they count do.
@@ -138,29 +139,26 @@ def match(store: TripleStore, pattern: TriplePattern) -> tuple[IdRow, ...]:
 
     A variable repeated within the pattern must bind to the same term in
     every position it occupies. The result is memoised on the store by the
-    pattern's ``slot_key`` (its slots' canonical tokens and variable names,
-    not its ordinal, so the same pattern in another query hits the memo);
-    every call returns the memoised tuple itself.
+    pattern's ``shape``, not its ordinal or variable names, so each distinct
+    shape is scanned once per store; every call returns the memoised tuple.
     """
-    key = pattern.slot_key
-    found = store._match_memo.get(key)
+    shape = pattern.shape
+    found = store._match_memo.get(shape)
     if found is None:
-        found = store._match_memo[key] = _scan(store, key)
+        found = store._match_memo[shape] = _scan(store, shape)
     return found
 
 
-def _scan(store: TripleStore, key: tuple[str, str, str]) -> tuple[IdRow, ...]:
+def _scan(store: TripleStore, shape: tuple[int | str, ...]) -> tuple[IdRow, ...]:
     candidates: Sequence[IdRow] = store.rows
     fixed: list[tuple[int, int]] = []  # (position, id) of a bound subject or object
     same: list[tuple[int, int]] = []  # (position, earlier position) of a repeated variable
-    first: dict[str, int] = {}
-    for position, token in enumerate(key):
-        if token[0] == "?":  # a variable; a term's canonical token starts with <, _ or "
-            earlier = first.setdefault(token, position)
-            if earlier != position:
-                same.append((position, earlier))
+    for position, slot in enumerate(shape):
+        if isinstance(slot, int):  # a variable, named by the first position it occupies
+            if slot != position:
+                same.append((position, slot))
         else:
-            found = _IDS.get(token)
+            found = _IDS.get(slot)
             if found is None:  # a term never interned occurs in no store
                 return ()
             if position == 1:

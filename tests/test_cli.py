@@ -267,6 +267,39 @@ def test_evaluate_unknown_engine(runner, workspace, tmp_path):
         assert name in result.output
 
 
+def _evaluate(runner, workspace, out, engines):
+    return runner.invoke(
+        main,
+        [
+            "evaluate",
+            "--stores", str(workspace / "stores"),
+            "--queries", str(workspace / "fx/toy/queries"),
+            "--engines", engines,
+            "--out", str(out),
+        ],
+    )
+
+
+def test_evaluate_engine_named_twice_writes_one_row_per_pair(runner, workspace, tmp_path):
+    result = _evaluate(runner, workspace, tmp_path / "twice.csv", "lhd, LHD,lhd")
+    assert result.exit_code == 0, result.output
+    once = _evaluate(runner, workspace, tmp_path / "once.csv", "lhd")
+    assert once.exit_code == 0, once.output
+    rows = list(csv.DictReader((tmp_path / "twice.csv").open()))
+    assert len(rows) == 4 and {r["engine"] for r in rows} == {"lhd"}
+    assert (tmp_path / "twice.csv").read_text() == (tmp_path / "once.csv").read_text()
+
+
+@pytest.mark.parametrize("engines", ["", " , ", ",,"])
+def test_evaluate_empty_engine_list_is_a_usage_error(runner, workspace, tmp_path, engines):
+    out = tmp_path / "none.csv"
+    result = _evaluate(runner, workspace, out, engines)
+    assert result.exit_code == 2
+    (line,) = result.output.splitlines()
+    assert line.startswith("error: --engines names no engine")
+    assert not out.exists()
+
+
 def test_evaluate_oracle_cap_produces_blowup_rows(runner, workspace, tmp_path):
     out = tmp_path / "capped.csv"
     result = runner.invoke(
@@ -573,6 +606,36 @@ def test_correlate_unknown_feature(runner, workspace, tmp_path):
     )
     assert result.exit_code == 2
     assert "unknown feature" in result.output
+
+
+def _correlate_bench(runner, features):
+    golden = Path(__file__).parent / "golden"
+    return runner.invoke(
+        main,
+        [
+            "correlate",
+            "--results", str(golden / "bench_results.csv"),
+            "--runtimes", str(golden / "bench_runtimes.csv"),
+            "--features", features,
+        ],
+    )
+
+
+def test_correlate_feature_named_twice_reports_it_once(runner):
+    once = _correlate_bench(runner, "Q_P,E_P")
+    assert once.exit_code == 0, once.output
+    for features in ("Q_P,Q_P,E_P", "q_p, Q_P,e_p,E_P"):
+        result = _correlate_bench(runner, features)
+        assert result.exit_code == 0, result.output
+        assert result.output == once.output
+
+
+@pytest.mark.parametrize("features", ["", " , "])
+def test_correlate_empty_feature_list_is_a_usage_error(runner, features):
+    result = _correlate_bench(runner, features)
+    assert result.exit_code == 2
+    (line,) = result.output.splitlines()
+    assert line.startswith("error: --features names no feature")
 
 
 def test_correlate_irls_outlier_footer(runner, tmp_path):

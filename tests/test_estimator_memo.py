@@ -40,7 +40,7 @@ def bench():
 
 
 def test_sources_for_selects_by_slots(toy_ab, toy_ab_summaries):
-    """The memo keys by subject, predicate and object (variable names included),
+    """The memo keys by the pattern's shape (a repeated variable included),
     never by ordinal or predicate alone."""
     estimator = make_estimator("lhd", toy_ab_summaries, toy_ab)
     patterns = [
@@ -54,6 +54,24 @@ def test_sources_for_selects_by_slots(toy_ab, toy_ab_summaries):
     for _ in range(2):
         assert [estimator.sources_for(pattern) for pattern in patterns] == expected
     assert [select_sources(pattern, toy_ab) for pattern in patterns] == expected
+
+
+def test_sources_for_selects_once_per_shape(toy_ab, toy_ab_summaries, monkeypatch):
+    """Patterns that differ only in their variable names share one selection."""
+    calls = []
+    original = estimators_base.select_sources
+
+    def counting_select_sources(pattern, stores):
+        calls.append(pattern)
+        return original(pattern, stores)
+
+    monkeypatch.setattr(estimators_base, "select_sources", counting_select_sources)
+    estimator = make_estimator("lhd", toy_ab_summaries, toy_ab)
+    first = estimator.sources_for(tp("?s", "q", "?o", 0))
+    assert estimator.sources_for(tp("?x", "q", "?y", 1)) is first
+    assert len(calls) == 1
+    assert estimator.sources_for(tp("?x", "q", "?x", 1)) == set()
+    assert len(calls) == 2
 
 
 def _plan_and_estimates(estimator, bgp):
@@ -131,7 +149,8 @@ ESTIMATOR_CLASSES = [
 @pytest.mark.parametrize("cls", ESTIMATOR_CLASSES, ids=lambda cls: cls.engine.value)
 def test_plan_and_trace_estimate_each_node_once(bench, monkeypatch, cls, qid):
     """A whole row (plan, trace, classification and #T) estimates each node and
-    selects each pattern's sources once, wherever ``select_sources`` is bound."""
+    selects each pattern shape's sources once, wherever ``select_sources`` is
+    bound. q05's ``?s linksTo ?a`` and ``?s linksTo ?t`` share one selection."""
     stores, summaries, queries = bench
     bgp = parse_query(queries[qid])
     assert len(bgp.patterns) == 3
@@ -140,7 +159,7 @@ def test_plan_and_trace_estimate_each_node_once(bench, monkeypatch, cls, qid):
     original = estimators_base.select_sources
 
     def counting_select_sources(pattern, stores):
-        selected[pattern.subject, pattern.predicate, pattern.object] += 1
+        selected[pattern.shape] += 1
         return original(pattern, stores)
 
     for name, module in list(sys.modules.items()):
@@ -155,5 +174,5 @@ def test_plan_and_trace_estimate_each_node_once(bench, monkeypatch, cls, qid):
     assert set(join_nodes(plan)) <= set(estimator.join_calls)
     assert set(estimator.leaf_calls.values()) == {1}
     assert set(estimator.join_calls.values()) == {1}
-    assert set(selected) == {(tp.subject, tp.predicate, tp.object) for tp in bgp.patterns}
+    assert set(selected) == {tp.shape for tp in bgp.patterns}
     assert set(selected.values()) <= {1}

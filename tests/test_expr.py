@@ -43,9 +43,9 @@ def reference_variables(expr):
     return out
 
 
-def reference_slot_key(tp):
+def reference_shape(tp):
     return tuple(
-        f"?{slot.name}" if isinstance(slot, Var) else format_term(slot)
+        "spo".index(tp.var_positions(slot.name)[0]) if isinstance(slot, Var) else format_term(slot)
         for slot in (tp.subject, tp.predicate, tp.object)
     )
 
@@ -70,7 +70,7 @@ def test_cached_facts_equal_their_recursive_definitions(bench_nodes):
         assert ordinals(node) == frozenset(tp.ordinal for tp in reference_patterns(node))
         assert node.variables == reference_variables(node)
         for tp in reference_patterns(node):
-            assert tp.slot_key == reference_slot_key(tp)
+            assert tp.shape == reference_shape(tp)
             assert tp.var_names == tp.variables() == reference_variables(Leaf(tp))
 
 
@@ -109,7 +109,7 @@ def test_caches_stay_out_of_equality_repr_and_replace():
     assert repr(p).startswith("TriplePattern(subject=Var(name='x'), predicate=Term(")
     assert repr(p).endswith(", object=Var(name='y'), ordinal=0)")
     moved = dataclasses.replace(p, object=x, ordinal=1)
-    assert moved.var_names == {"x"} and moved.slot_key == ("?x", "<http://e/p>", "?x")
+    assert moved.var_names == {"x"} and moved.shape == (0, "<http://e/p>", 0)
     assert hash(moved) == hash(plain(moved)) and moved != p
     assert dataclasses.replace(moved, object=y, ordinal=0) == p
     node = Join(Leaf(p), Leaf(moved))

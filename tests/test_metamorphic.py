@@ -10,11 +10,11 @@ from pathlib import Path
 
 from hypothesis import Phase, given, settings, strategies as st
 
-from fedcard.estimators import ENGINE_NAMES
+from fedcard.estimators import ENGINE_NAMES, make_estimator
 from fedcard.evaluation import STATUS_FAILED, evaluate_queries
 from fedcard.expr import Join, Leaf, join_nodes, leaves
 from fedcard.ntriples import Triple, blank, format_term, format_triple, iri, literal
-from fedcard.oracle import Oracle, true_tp_card
+from fedcard.oracle import Oracle, trace_plan, true_tp_card
 from fedcard.query import TriplePattern, Var
 from fedcard.store import build_store, load_ntriples_file, load_store, save_store
 from fedcard.summaries import build_all
@@ -124,8 +124,8 @@ _IRI_SPECIALS = (">", " ", "\\", "é")
 _VOCABULARY = [iri(f"http://m/n{i}") for i in range(5)] + [iri(f"http://m/p{i}") for i in range(3)]
 
 
-def _results(triples, queries) -> list[list[str]]:
-    """Results rows of every engine; the sources are written and ingested as N-Triples."""
+def _evaluate(triples, queries):
+    """The rows of every engine, and the sources, written and ingested as N-Triples."""
     with tempfile.TemporaryDirectory() as tmp:
         stores = []
         for name, source in (("S1", triples[::2]), ("S2", triples[1::2])):
@@ -141,7 +141,12 @@ def _results(triples, queries) -> list[list[str]]:
         % " . ".join(" ".join(slot(v) for v in (tp.subject, tp.predicate, tp.object)) for tp in tps)
         for i, tps in enumerate(queries)
     }
-    return [row.csv_fields() for row in evaluate_queries(texts, ENGINE_NAMES, stores)]
+    return evaluate_queries(texts, ENGINE_NAMES, stores), stores
+
+
+def _results(triples, queries) -> list[list[str]]:
+    """Results rows of every engine; the sources are written and ingested as N-Triples."""
+    return [row.csv_fields() for row in _evaluate(triples, queries)[0]]
 
 
 @SETTINGS
@@ -164,3 +169,56 @@ def test_renaming_iris_keeps_every_result_row(triples, queries, prefix):
     before = _results(triples, queries)
     assert all(fields[-1] != STATUS_FAILED for fields in before)
     assert _results(renamed_triples, renamed_queries) == before
+
+
+_var_names = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True)
+
+
+def _respeller(renamed):
+    """Respell each pattern's variables by ``renamed``, keeping its terms and ordinal."""
+
+    def slot(value):
+        return Var(renamed[value.name]) if isinstance(value, Var) else value
+
+    def respell(tp):
+        return TriplePattern(slot(tp.subject), slot(tp.predicate), slot(tp.object), tp.ordinal)
+
+    return respell
+
+
+def _respelled_plan(expr, respell):
+    if isinstance(expr, Leaf):
+        return Leaf(respell(expr.pattern))
+    return Join(_respelled_plan(expr.left, respell), _respelled_plan(expr.right, respell))
+
+
+@SETTINGS
+@given(triples=triples, queries=st.lists(patterns, min_size=1, max_size=3), data=st.data())
+def test_renaming_variables_keeps_every_real_count(triples, queries, data):
+    # A bijection of the variables a, b and c, which need not keep their order.
+    renamed = dict(zip("abc", data.draw(st.lists(_var_names, min_size=3, max_size=3, unique=True))))
+    respell = _respeller(renamed)
+    rows, stores = _evaluate(triples, queries)
+    assert all(row.status != STATUS_FAILED for row in rows)
+    respelled_rows, _ = _evaluate(triples, [list(map(respell, tps)) for tps in queries])
+    # Leaf counts are indexed by ordinal, whatever plan the estimates pick.
+    assert [row.trace.tp_real for row in respelled_rows] == [row.trace.tp_real for row in rows]
+    # Edges are sorted by variable name, so estimates may round otherwise and
+    # pick another plan: the join counts are compared on the same plan.
+    summaries = build_all(stores)
+    for row in rows:
+        estimator = make_estimator(row.engine, summaries, stores)
+        trace = trace_plan(_respelled_plan(row.plan, respell), estimator, Oracle(stores))
+        assert (trace.tp_real, trace.join_real) == (row.trace.tp_real, row.trace.join_real)
+
+
+@SETTINGS
+@given(triples=triples, queries=st.lists(patterns, min_size=1, max_size=3), data=st.data())
+def test_renaming_variables_in_order_keeps_every_result_row(triples, queries, data):
+    # Sorted names for a < b < c: every edge and projection keeps its order,
+    # so every float sum does, and the estimates are compared too.
+    new = sorted(data.draw(st.lists(_var_names, min_size=3, max_size=3, unique=True)))
+    respell = _respeller(dict(zip("abc", new)))
+    before = _results(triples, queries)
+    assert all(fields[-1] != STATUS_FAILED for fields in before)
+    assert _results(triples, [list(map(respell, tps)) for tps in queries]) == before

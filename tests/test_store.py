@@ -69,6 +69,26 @@ def test_match_repeated_variable():
     assert len(match(store, tp("?x", "p", "?x"))) == 1
 
 
+def test_match_memo_is_shared_by_patterns_of_one_shape():
+    """Patterns that differ only in their variable names share one memo entry;
+    a repeated variable or a bound slot makes another shape, each equal to a
+    fresh scan."""
+    triples = [
+        Triple(toy_iri("a"), toy_iri("p"), toy_iri("a")),
+        Triple(toy_iri("a"), toy_iri("p"), toy_iri("o")),
+        Triple(toy_iri("b"), toy_iri("p"), toy_iri("o")),
+    ]
+    store = build_store("R", triples)
+    rows = match(store, tp("?s", "p", "?o"))
+    assert match(store, tp("?x", "p", "?y", 3)) is rows
+    assert len(rows) == 3
+    for pattern, expected in ((tp("?x", "p", "?x"), 1), (tp("?s", "p", "o"), 2)):
+        found = match(store, pattern)
+        assert found is not rows
+        assert found == match(build_store("R", triples), pattern)
+        assert len(found) == expected == linear_scan_count(store, pattern)
+
+
 def test_distinct_count_tables_match_recount(toy1):
     """build_void's counts equal a recount of the decoded triples, per
     predicate and per source, on toy1 and on every bench source."""
